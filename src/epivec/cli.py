@@ -2,12 +2,12 @@
 
     epivec simulate --scenario s.json --replications N --seed S --out DIR [--threads T]
     epivec summarize --in DIR --out FILE
-    epivec bench --agents N --steps H [--oracle]
+    epivec bench --agents N --steps H [--seed S] [--oracle]
     epivec verify --scenario s.json
-    epivec compare --scenarios a.json b.json ... [--out FILE]
+    epivec compare --scenarios a.json b.json ... [--out FILE] [--threads T]
 
-Exit codes: 0 success, 1 configuration error, 2 invariant violation,
-3 verification divergence.
+Exit codes: 0 success, 1 configuration or usage error, 2 invariant violation,
+3 verification divergence, 4 unexpected error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -23,8 +23,16 @@ from .runner import (bench, load_results, run_scenario, summarize,
 from .scenario import default_scenario, load_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like configuration errors; argparse uses 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epivec",
         description="Vectorized agent-based epidemic simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -38,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for run CSVs")
     p.add_argument("--threads", type=int, default=1,
                    help="concurrent replication workers")
-    p.add_argument("--dump-graphs", default=None, metavar="DIR",
-                   help="debug: write every realized step graph as CSV")
 
     p = sub.add_parser("summarize", help="quartile summary over a run directory")
     p.add_argument("--in", dest="run_dir", required=True)
@@ -73,16 +79,7 @@ def _cmd_simulate(args) -> int:
         overrides["base_seed"] = args.seed
     if overrides:
         config = replace(config, **overrides)
-    if args.dump_graphs:
-        results = []
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for i in range(config.replications):
-            r = run_replication(config, i, dump_graphs_dir=args.dump_graphs)
-            (out / f"run_{i:03d}.csv").write_text(r.to_csv())
-            results.append(r)
-    else:
-        results = run_scenario(config, out_dir=args.out, workers=args.threads)
+    results = run_scenario(config, out_dir=args.out, workers=args.threads)
     total_edges = sum(r.n_edges_total for r in results)
     print(f"{config.name}: {len(results)} replications x {config.horizon} steps, "
           f"{total_edges:,} interactions -> {args.out}")
@@ -161,6 +158,9 @@ def main(argv=None) -> int:
     except VerificationDivergence as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        print(f"unexpected error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

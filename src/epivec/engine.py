@@ -45,8 +45,6 @@ class StepEvents:
     step: int
     n_edges: int = 0
     new_infections: int = 0
-    deaths: int = 0
-    hospitalizations: int = 0
     tests_administered: int = 0
     doses_given: int = 0
     notifications_sent: int = 0
@@ -182,8 +180,6 @@ class Engine:
             return np.empty(0, dtype=np.int64)
         dest = c.next_stage[due].copy()
         c.stage[due] = dest
-        ev.deaths = int(np.sum(dest == int(Stage.DEAD)))
-        ev.hospitalizations = int(np.sum(dest == int(Stage.HOSPITALIZED)))
         symptomatic = due[(dest == int(Stage.MILD_SYMPTOMATIC))
                           | (dest == int(Stage.SEVERE_SYMPTOMATIC))]
         absorbing = (dest == int(Stage.RECOVERED)) | (dest == int(Stage.DEAD))
@@ -219,10 +215,8 @@ class Engine:
         positive = np.where(active, u_pos < kind.detection_prob,
                             u_pos < self.iv.false_positive_prob)
         u_turn = uniforms(self.seed, step, Purpose.TEST_TURNAROUND, ids)
-        span = kind.turnaround_max - kind.turnaround_min + 1
-        turnaround = kind.turnaround_min + (u_turn * span).astype(np.int64)
         c.test_sample_at[ids] = step
-        c.test_result_at[ids] = step + turnaround
+        c.test_result_at[ids] = step + kind.turnaround(u_turn)
         c.test_positive[ids] = positive
         ev.tests_administered = len(ids)
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ConfigError -> 1,
-InvariantViolation -> 2, VerificationDivergence -> 3.
+Exit-code mapping used by the CLI: ConfigError (and command-line usage
+errors) -> 1, InvariantViolation -> 2, VerificationDivergence -> 3, any other
+exception -> 4.
 """
 
 

@@ -33,10 +33,11 @@ class TestKind:
         if self.turnaround_min < 1 or self.turnaround_max < self.turnaround_min:
             raise ConfigError(f"test {self.name!r}: turnaround must be >= 1 step")
 
-    def turnaround(self, u: float) -> int:
-        """Uniform integer turnaround from one keyed draw."""
+    def turnaround(self, u):
+        """Uniform integer turnaround from keyed draws, scalar or array."""
         span = self.turnaround_max - self.turnaround_min + 1
-        return self.turnaround_min + int(u * span)
+        t = self.turnaround_min + (np.asarray(u) * span).astype(np.int64)
+        return int(t) if t.ndim == 0 else t
 
 
 TEST_KINDS = {

@@ -235,7 +235,6 @@ class OracleSim:
             self.agents[i].den_test_due_at = NEVER
         candidates = sorted(set(newly_symptomatic) | set(due_den))
         kind = self.iv.test_kind
-        span = kind.turnaround_max - kind.turnaround_min + 1
         for i in candidates:
             a = self.agents[i]
             if a.test_result_at != NEVER or a.stage == int(Stage.DEAD):
@@ -246,9 +245,8 @@ class OracleSim:
             else:
                 positive = u_pos < self.iv.false_positive_prob
             u_turn = uniform(self.seed, step, Purpose.TEST_TURNAROUND, i)
-            turnaround = kind.turnaround_min + int(u_turn * span)
             a.test_sample_at = step
-            a.test_result_at = step + turnaround
+            a.test_result_at = step + kind.turnaround(u_turn)
             a.test_positive = bool(positive)
 
     def _test_delivery(self, step: int) -> None:

@@ -1,9 +1,15 @@
 """Replication runner, time-series output, summaries, benchmark, verifier.
 
+One private loop, ``_replay``, sets up a replication and steps it: it realizes
+each step's graph from the dead mask and steps the engine, the oracle or both
+on it.  ``run_replication``, ``bench`` and ``verify_equivalence`` consume it.
+
 Each replication derives its own 64-bit seed from ``(base_seed, index)``, so
-results are independent of execution order and worker count.  Time series are
-written as one CSV per replication with a versioned header; summaries report
-the 25th/50th/75th percentiles across replications per step and metric.
+results are independent of execution order and worker count.  Worker
+processes return ``RunResult`` objects; text is written only at the file
+boundary, as one CSV per replication with a versioned header.  Summaries
+report the 25th/50th/75th percentiles across replications per step and
+metric.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +27,6 @@ from . import rng as keyed
 from .engine import Engine, StepEvents
 from .errors import ConfigError, VerificationDivergence
 from .graphs import GraphRealizer
-from .interventions import InterventionConfig
 from .oracle import OracleSim, agents_from_columns
 from .population import seed_infections, synthesize
 from .rng import Purpose
@@ -116,49 +122,48 @@ def _record_row(out: np.ndarray, row: int, cols: AgentColumns,
     out[row, base + 6] = ev.notifications_sent
 
 
-def dump_graph_csv(graph, path: Path) -> None:
-    """Debug dump of one step's edge list as src,dst,network_kind."""
-    with open(path, "w") as f:
-        f.write("src,dst,network_kind\n")
-        for s, d, k in zip(graph.src.tolist(), graph.dst.tolist(),
-                           graph.kind.tolist()):
-            f.write(f"{s},{d},{k}\n")
+def _replay(config: ScenarioConfig, seed: int, engine: bool = True,
+            oracle_disease=None, check_invariants: bool = True):
+    """The replication loop: set up now, then return an iterator that per step
+    realizes the graph from the dead mask and steps every simulator on it.
+
+    Runs the engine unless ``engine`` is false, and the oracle (with
+    ``oracle_disease`` as its transmission parameters) when that is given.
+    It yields ``(cols, oracle, graph, events)`` after each step; ``events`` is
+    None without the engine.
+    """
+    cols, realizer = initialize_run(config, seed)
+    eng = Engine(cols, config.disease, config.progression, config.interventions,
+                 seed, check_invariants=check_invariants) if engine else None
+    oracle = None
+    if oracle_disease is not None:
+        oracle = OracleSim(agents_from_columns(cols), oracle_disease,
+                           config.progression, config.interventions, seed)
+
+    def steps():
+        for step in range(config.horizon):
+            stage = oracle.column("stage") if eng is None else cols.stage
+            graph = realizer.realize(step, stage == int(Stage.DEAD))
+            events = None if eng is None else eng.step(graph)
+            if oracle is not None:
+                oracle.step(graph)
+            yield cols, oracle, graph, events
+    return steps()
 
 
 def run_replication(config: ScenarioConfig, index: int,
-                    check_invariants: bool = True,
-                    dump_graphs_dir: str | Path | None = None) -> RunResult:
-    """One seeded end-to-end replication.
-
-    ``dump_graphs_dir`` writes every realized step graph as a CSV
-    (debugging aid; large)."""
+                    check_invariants: bool = True) -> RunResult:
+    """One seeded end-to-end replication; wall time includes set-up."""
     seed = replication_seed(config.base_seed, index)
-    t0 = time.perf_counter()
-    cols, realizer = initialize_run(config, seed)
-    engine = Engine(cols, config.disease, config.progression,
-                    config.interventions, seed, check_invariants=check_invariants)
     data = np.zeros((config.horizon, len(CSV_COLUMNS)), dtype=np.int64)
     edges_total = 0
-    if dump_graphs_dir is not None:
-        dump_graphs_dir = Path(dump_graphs_dir)
-        dump_graphs_dir.mkdir(parents=True, exist_ok=True)
-    for step in range(config.horizon):
-        graph = realizer.realize(step, cols.stage == int(Stage.DEAD))
-        if dump_graphs_dir is not None:
-            dump_graph_csv(graph, dump_graphs_dir
-                           / f"rep{index:03d}_step{step:04d}.csv")
-        ev = engine.step(graph)
+    t0 = time.perf_counter()
+    for cols, _, _, ev in _replay(config, seed, check_invariants=check_invariants):
         edges_total += ev.n_edges
-        _record_row(data, step, cols, ev)
+        _record_row(data, ev.step, cols, ev)
     wall = time.perf_counter() - t0
     return RunResult(replication=index, seed=seed, data=data,
                      n_edges_total=edges_total, wall_seconds=wall)
-
-
-def _run_one(args) -> tuple[int, str, int, float]:
-    config, index = args
-    result = run_replication(config, index)
-    return index, result.to_csv(), result.n_edges_total, result.wall_seconds
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
@@ -168,20 +173,13 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
     Results are identical for any worker count: each replication depends only
     on (base_seed, index).
     """
-    indices = list(range(config.replications))
-    results: list[RunResult] = []
+    run = partial(run_replication, config)
+    indices = range(config.replications)
     if workers > 1 and len(indices) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, csv_text, n_edges, wall in pool.map(
-                    _run_one, [(config, i) for i in indices]):
-                r = RunResult.from_csv(csv_text)
-                r.n_edges_total = n_edges
-                r.wall_seconds = wall
-                results.append(r)
+            results = list(pool.map(run, indices))
     else:
-        for i in indices:
-            results.append(run_replication(config, i))
-    results.sort(key=lambda r: r.replication)
+        results = list(map(run, indices))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -266,27 +264,18 @@ class BenchReport:
 
 
 def bench(config: ScenarioConfig, use_oracle: bool = False) -> BenchReport:
-    """Throughput of one replication; interactions = directed edges gathered."""
+    """Throughput of one replication's step loop, set-up excluded;
+    interactions = directed edges gathered."""
     seed = replication_seed(config.base_seed, 0)
-    cols, realizer = initialize_run(config, seed)
-    t0 = time.perf_counter()
+    steps = _replay(config, seed, engine=not use_oracle, check_invariants=False,
+                    oracle_disease=config.disease if use_oracle else None)
     interactions = 0
-    if use_oracle:
-        sim = OracleSim(agents_from_columns(cols), config.disease,
-                        config.progression, config.interventions, seed)
-        for step in range(config.horizon):
-            graph = realizer.realize(step, sim.column("stage") == int(Stage.DEAD))
-            sim.step(graph)
-            interactions += graph.n_edges
-    else:
-        engine = Engine(cols, config.disease, config.progression,
-                        config.interventions, seed, check_invariants=False)
-        for step in range(config.horizon):
-            graph = realizer.realize(step, cols.stage == int(Stage.DEAD))
-            ev = engine.step(graph)
-            interactions += ev.n_edges
+    t0 = time.perf_counter()
+    for _, _, graph, _ in steps:
+        interactions += graph.n_edges
     wall = time.perf_counter() - t0
-    return BenchReport(cols.n_agents, config.horizon, interactions, wall)
+    return BenchReport(config.population.n_agents, config.horizon,
+                       interactions, wall)
 
 
 # -- engine/oracle equivalence ------------------------------------------------
@@ -302,17 +291,9 @@ def verify_equivalence(config: ScenarioConfig, replication: int = 0,
     if config.population.n_agents > 2000:
         raise ConfigError("verification runs on small scenarios (<= 2000 agents)")
     seed = replication_seed(config.base_seed, replication)
-    cols, realizer = initialize_run(config, seed)
-    engine = Engine(cols, config.disease, config.progression,
-                    config.interventions, seed)
-    oracle = OracleSim(agents_from_columns(cols),
-                       oracle_disease or config.disease,
-                       config.progression, config.interventions, seed)
-    for step in range(config.horizon):
-        graph = realizer.realize(step, cols.stage == int(Stage.DEAD))
-        engine.step(graph)
-        oracle.step(graph)
-        _compare_states(step, cols, oracle)
+    for cols, oracle, graph, _ in _replay(
+            config, seed, oracle_disease=oracle_disease or config.disease):
+        _compare_states(graph.step, cols, oracle)
     return config.horizon
 
 

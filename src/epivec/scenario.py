@@ -79,11 +79,41 @@ def _resolve_section(value, base_dir: Path, loader, default_dict):
     raise ConfigError(f"expected object or file path, got {type(value).__name__}")
 
 
+_SCENARIO_KEYS = ("name", "population", "disease", "progression", "interventions",
+                  "horizon", "replications", "base_seed", "initial_infections")
+_INTERVENTION_KEYS = {
+    "quarantine": ("enabled", "duration", "dropout_prob"),
+    "testing": ("enabled", "kind", "false_positive_prob"),
+    "den": ("enabled", "app_adoption", "compliance_prob", "lookback"),
+    "vaccination": ("enabled", "strategy", "dose1_efficacy", "dose2_efficacy",
+                    "dose1_latency", "dose2_latency", "dose_gap", "daily_rate",
+                    "start_trigger", "immunity_mode", "elderly_band"),
+}
+
+
+def _checked(d, known, path: str) -> dict:
+    """``d`` itself, once it is an object holding only ``known`` keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'scenario'}: expected an object, "
+                          f"got {type(d).__name__}")
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"{path + '.' if path else ''}{key}: unknown key; "
+                              f"expected one of {sorted(known)}")
+    return d
+
+
+def _enabled(block: dict, path: str) -> bool:
+    value = block.get("enabled", False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}.enabled: expected true or false, got {value!r}")
+    return value
+
+
 def _interventions_from_dict(d: dict) -> InterventionConfig:
-    q = d.get("quarantine", {})
-    t = d.get("testing", {})
-    den = d.get("den", {})
-    vax = d.get("vaccination", {})
+    _checked(d, _INTERVENTION_KEYS, "interventions")
+    q, t, den, vax = (_checked(d.get(name, {}), keys, f"interventions.{name}")
+                      for name, keys in _INTERVENTION_KEYS.items())
 
     kind_name = t.get("kind", "rt-pcr")
     if kind_name not in TEST_KINDS:
@@ -102,19 +132,19 @@ def _interventions_from_dict(d: dict) -> InterventionConfig:
                           f"{mode_name!r}")
 
     return InterventionConfig(
-        quarantine_enabled=bool(q.get("enabled", False)),
+        quarantine_enabled=_enabled(q, "interventions.quarantine"),
         quarantine_duration=int(q.get("duration", 14)),
         quarantine_dropout=float(q.get("dropout_prob", 0.05)),
-        testing_enabled=bool(t.get("enabled", False)),
+        testing_enabled=_enabled(t, "interventions.testing"),
         test_kind=TEST_KINDS[kind_name],
         false_positive_prob=float(t.get("false_positive_prob", 0.0)),
-        den_enabled=bool(den.get("enabled", False)),
+        den_enabled=_enabled(den, "interventions.den"),
         den=DenConfig(
             app_adoption=float(den.get("app_adoption", 0.3)),
             compliance_prob=float(den.get("compliance_prob", 0.8)),
             lookback=int(den.get("lookback", 7)),
         ),
-        vaccination_enabled=bool(vax.get("enabled", False)),
+        vaccination_enabled=_enabled(vax, "interventions.vaccination"),
         vaccine=VaccinePolicy(
             strategy=STRATEGY_BY_NAME[strategy_name],
             dose1_efficacy=float(vax.get("dose1_efficacy", 0.8)),
@@ -133,6 +163,7 @@ def _interventions_from_dict(d: dict) -> InterventionConfig:
 def scenario_from_dict(d: dict, base_dir: Path | str = ".",
                        name: str = "scenario") -> ScenarioConfig:
     base_dir = Path(base_dir)
+    _checked(d, _SCENARIO_KEYS, "")
     try:
         population = _resolve_section(d.get("population"), base_dir,
                                       PopulationSpec.from_dict, default_population_dict)

@@ -75,8 +75,4 @@ _active[[Stage.ASYMPTOMATIC, Stage.PRESYMPTOMATIC_MILD, Stage.PRESYMPTOMATIC_SEV
          Stage.HOSPITALIZED, Stage.CRITICAL_ICU]] = True
 ACTIVE_INFECTION_STAGE = _active
 
-SYMPTOMATIC_STAGES = (Stage.MILD_SYMPTOMATIC, Stage.SEVERE_SYMPTOMATIC)
-ABSORBING_STAGES = (Stage.RECOVERED, Stage.VACCINATED, Stage.DEAD)
-
-STAGE_NAMES = {s: str(s) for s in Stage}
 STAGE_BY_NAME = {str(s): s for s in Stage}

@@ -84,9 +84,6 @@ class AgentColumns:
     def stage_counts(self) -> np.ndarray:
         return np.bincount(self.stage, minlength=N_STAGES)
 
-    def quarantined(self, step: int) -> np.ndarray:
-        return self.quarantine_until > step
-
     def check_invariants(self, step: int) -> None:
         """Cheap structural checks; raise InvariantViolation on breakage."""
         counts = self.stage_counts()

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConfigError
-from .stages import N_AGE_BANDS, N_NETWORK_KINDS, NetworkKind
+from .stages import N_AGE_BANDS, N_NETWORK_KINDS
 
 TAIL_EPS = 1e-6
 
@@ -156,6 +156,3 @@ def infection_probability(total_hazard):
         raise ValueError("negative hazard: upstream accumulation bug")
     p = 1.0 - np.exp(-lam)
     return float(p) if lam.ndim == 0 else p
-
-
-_DEFAULT_NETWORK_ORDER = [k.name.lower() for k in NetworkKind]

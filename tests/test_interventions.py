@@ -116,6 +116,11 @@ class TestTestKinds:
         freq = np.bincount(samples, minlength=6)[3:6] / len(samples)
         assert np.all(np.abs(freq - 1 / 3) < 0.01)
         assert samples.min() == 3 and samples.max() == 5
+        # the engine's array call and the oracle's scalar calls agree
+        for each in TEST_KINDS.values():
+            scalar = [each.turnaround(float(x)) for x in u[:2000]]
+            assert all(type(t) is int for t in scalar)
+            assert np.array_equal(each.turnaround(u[:2000]), scalar)
 
     def test_fixed_turnarounds(self):
         assert TEST_KINDS["rapid-antigen"].turnaround(0.99) == 2

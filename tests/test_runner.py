@@ -1,14 +1,17 @@
-"""Replication runner, CSV round-trips, quantile summaries, CLI exit codes."""
+"""Replication runner, CSV round-trips, quantile summaries, scenario key
+checks, CLI exit codes and flags."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epivec import cli
 from epivec.cli import main
-from epivec.errors import ConfigError
-from epivec.runner import (CSV_COLUMNS, RunResult, load_results,
+from epivec.errors import ConfigError, InvariantViolation, VerificationDivergence
+from epivec.runner import (CSV_COLUMNS, RunResult, bench, load_results,
                            replication_seed, run_replication, run_scenario,
                            summarize, summary_to_csv, summary_to_long_csv)
 from epivec.scenario import (ScenarioConfig, default_population_dict,
@@ -23,6 +26,24 @@ def tiny_scenario(n=300, horizon=12, replications=2, seed=5, **kwargs):
          "base_seed": seed, "initial_infections": 5}
     d.update(kwargs)
     return scenario_from_dict(d, name="tiny")
+
+
+def run_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("run_*.csv"))}
+
+
+def bench_interactions(seed=0, use_oracle=False):
+    config = default_scenario(n_agents=300, horizon=3, replications=1,
+                              base_seed=seed)
+    return f"{bench(config, use_oracle).interactions:,} interactions"
+
+
+def exit_code(argv):
+    """``main``'s return value, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
 
 
 def sort_based_quantile(values, q):
@@ -59,6 +80,38 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match="unknown test"):
             tiny_scenario(interventions={"testing": {"enabled": True,
                                                      "kind": "mystery"}})
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ConfigError, match="^horizn: unknown key"):
+            tiny_scenario(horizn=5)
+
+    @pytest.mark.parametrize("interventions, path", [
+        ({"quarantine": {"enabled": True, "dropout": 0.9}},
+         "interventions.quarantine.dropout"),
+        ({"testing": {"sensitivity": 0.9}}, "interventions.testing.sensitivity"),
+        ({"den": {"adoption": 0.5}}, "interventions.den.adoption"),
+        ({"vaccination": {"efficacy": 0.9}}, "interventions.vaccination.efficacy"),
+        ({"vacination": {"enabled": True}}, "interventions.vacination"),
+    ])
+    def test_unknown_intervention_key_rejected(self, interventions, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: unknown key"):
+            tiny_scenario(interventions=interventions)
+
+    @pytest.mark.parametrize("block", ["quarantine", "testing", "den", "vaccination"])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_enabled_must_be_json_boolean(self, block, value):
+        with pytest.raises(ConfigError, match=f"^interventions.{block}.enabled: "
+                                              "expected true or false"):
+            tiny_scenario(interventions={block: {"enabled": value}})
+
+    @pytest.mark.parametrize("d, path", [
+        ([], "scenario"),
+        ({"interventions": []}, "interventions"),
+        ({"interventions": {"den": "on"}}, "interventions.den"),
+    ])
+    def test_non_object_section_rejected(self, d, path):
+        with pytest.raises(ConfigError, match=f"^{path}: expected an object"):
+            scenario_from_dict(d)
 
 
 class TestDeterminism:
@@ -199,6 +252,81 @@ class TestCli:
         bad.write_text("{\"horizon\": 0}")
         assert main(["simulate", "--scenario", str(bad),
                      "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("argv", [[], ["simulate"], ["frobnicate"],
+                                      ["bench", "--agents", "many"]])
+    def test_usage_error_exit_code(self, argv, capsys):
+        assert exit_code(argv) == 1
+        assert "usage: epivec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError("bad field"), 1),
+        (InvariantViolation("broken invariant"), 2),
+        (VerificationDivergence(0, 1, "stage", 0, 1), 3),
+        (RuntimeError("boom"), 4),
+    ])
+    def test_error_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "run_scenario", fail)
+        scenario = self.write_scenario(tmp_path)
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(error) in err
+
+    @pytest.mark.parametrize("command, flags, code, check", [
+        pytest.param("simulate", ["--replications", "3"], 0,
+                     lambda out, stdout, stderr, base: sorted(run_files(out))
+                     == ["run_000.csv", "run_001.csv", "run_002.csv"],
+                     id="simulate --replications"),
+        pytest.param("simulate", ["--seed", "9"], 0,
+                     lambda out, stdout, stderr, base:
+                     (out / "run_000.csv").read_text().splitlines()[1]
+                     == f"# replication=0 seed={replication_seed(9, 0)}",
+                     id="simulate --seed"),
+        pytest.param("simulate", ["--threads", "2"], 0,
+                     lambda out, stdout, stderr, base:
+                     run_files(out) == run_files(base()),
+                     id="simulate --threads"),
+        pytest.param("bench", ["--seed", "4"], 0,
+                     lambda out, stdout, stderr, base:
+                     bench_interactions(seed=4) in stdout
+                     and bench_interactions() not in stdout,
+                     id="bench --seed"),
+        pytest.param("bench", ["--oracle"], 0,
+                     lambda out, stdout, stderr, base:
+                     stdout.startswith("[oracle]")
+                     and bench_interactions() in stdout
+                     and bench_interactions(use_oracle=True) in stdout,
+                     id="bench --oracle"),
+        pytest.param("compare", ["--threads", "2"], 0,
+                     lambda out, stdout, stderr, base:
+                     out.read_bytes() == base().read_bytes(),
+                     id="compare --threads"),
+        pytest.param("simulate", ["--dump-graphs", "graphs"], 1,
+                     lambda out, stdout, stderr, base:
+                     "unrecognized arguments: --dump-graphs" in stderr,
+                     id="simulate --dump-graphs is gone"),
+    ])
+    def test_every_flag(self, tmp_path, capsys, command, flags, code, check):
+        """``base()`` reruns the command without the flag, as a reference."""
+        scenario = str(self.write_scenario(tmp_path, horizon=5))
+
+        def argv(out):
+            return [command, *{
+                "simulate": ["--scenario", scenario, "--out", str(out)],
+                "bench": ["--agents", "300", "--steps", "3"],
+                "compare": ["--scenarios", scenario, scenario, "--out", str(out)],
+            }[command]]
+
+        def base():
+            assert main(argv(tmp_path / "base")) == 0
+            return tmp_path / "base"
+
+        out = tmp_path / "out"
+        assert exit_code([*argv(out), *flags]) == code
+        assert check(out, *capsys.readouterr(), base)
 
     def test_verify_ok_and_bench(self, tmp_path, capsys):
         scenario = self.write_scenario(tmp_path, interventions={
