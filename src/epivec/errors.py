@@ -1,9 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the unknown-key and
+number checks the config loaders raise ConfigError through.
 
 Exit-code mapping used by the CLI: ConfigError (and command-line usage
 errors) -> 1, InvariantViolation -> 2, VerificationDivergence -> 3, any other
 exception -> 4.
 """
+
+import math
+import numbers
 
 
 class EpivecError(Exception):
@@ -31,3 +35,32 @@ class VerificationDivergence(EpivecError):
             f"divergence at step {step}, agent {agent}, field {field!r}: "
             f"engine={engine_value!r} oracle={oracle_value!r}"
         )
+
+
+def checked(d, known, path: str) -> dict:
+    """``d`` itself, once it is an object holding only ``known`` keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'scenario'}: expected an object, "
+                          f"got {type(d).__name__}")
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"{path + '.' if path else ''}{key}: unknown key; "
+                              f"expected one of {sorted(known)}")
+    return d
+
+
+def number(d: dict, key: str, path: str, default=None, kind=float):
+    """``d[key]`` as ``kind`` (int or float), or ``default`` when it is absent.
+
+    Without a default the key is required and its absence raises KeyError.  A
+    value that is not a finite number, or not a whole number for an int
+    field, raises a ConfigError naming ``path.key``.
+    """
+    value = d[key] if default is None else d.get(key, default)
+    where = f"{path}.{key}" if path else key
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+    return kind(value)

@@ -88,9 +88,13 @@ def watts_strogatz(n_nodes: int, k: int, beta: float,
     """Small-world graph; returns undirected edges as (u, v) position arrays.
 
     Ring lattice joining each node to k/2 neighbors per side, then each edge
-    rewired at its source end with probability beta, avoiding self-loops and
-    duplicate edges.  Rewiring replaces edges one-for-one, so the undirected
-    edge count is always n*k/2.
+    rewired at its source end with probability beta, in vectorized rounds:
+    every pending edge draws a new endpoint among the nodes that are neither
+    its source nor a lattice neighbor of it, and a pair already rewired to, or
+    drawn twice in the round, is redrawn next round.  Rewired edges so avoid
+    all lattice pairs; an edge whose source has no free pair left, or that is
+    still pending after 8*n rounds, keeps its lattice endpoint.  The
+    undirected edge count is always n*k/2.
     """
     if k % 2 != 0:
         raise ValueError(f"mean degree k must be even, got {k}")
@@ -103,29 +107,25 @@ def watts_strogatz(n_nodes: int, k: int, beta: float,
         return empty, empty.copy()
 
     half = k // 2
-    base = np.arange(n_nodes, dtype=np.int64)
-    us = np.concatenate([base for _ in range(half)])
-    vs = np.concatenate([(base + j) % n_nodes for j in range(1, half + 1)])
-
-    if beta > 0.0:
-        rewire = np.nonzero(rng.random(len(us)) < beta)[0]
-        if len(rewire):
-            lo = np.minimum(us, vs)
-            hi = np.maximum(us, vs)
-            taken = set((lo * n_nodes + hi).tolist())
-            for i in rewire.tolist():
-                u, v = int(us[i]), int(vs[i])
-                old_key = min(u, v) * n_nodes + max(u, v)
-                taken.discard(old_key)
-                new_v = v
-                for _ in range(8 * n_nodes):
-                    w = int(rng.integers(0, n_nodes))
-                    key = min(u, w) * n_nodes + max(u, w)
-                    if w != u and key not in taken:
-                        new_v = w
-                        break
-                vs[i] = new_v
-                taken.add(min(u, new_v) * n_nodes + max(u, new_v))
+    us = np.tile(np.arange(n_nodes, dtype=np.int64), half)
+    vs = (us + np.repeat(np.arange(1, half + 1), n_nodes)) % n_nodes
+    rewired = np.empty(0, dtype=np.int64)
+    degree = np.full(n_nodes, k)   # lattice plus rewired pairs per node
+    pending = np.nonzero(rng.random(len(us)) < beta)[0]
+    for _ in range(8 * n_nodes):
+        pending = pending[degree[us[pending]] < n_nodes - 1]
+        if not len(pending):
+            break
+        u = us[pending]
+        w = (u + half + 1 + rng.integers(0, n_nodes - k - 1, size=len(u))) % n_nodes
+        key = np.minimum(u, w) * n_nodes + np.maximum(u, w)
+        free = np.nonzero(~np.isin(key, rewired))[0]
+        new_keys, first = np.unique(key[free], return_index=True)
+        won = free[first]
+        vs[pending[won]] = w[won]
+        rewired = np.concatenate([rewired, new_keys])
+        degree += np.bincount(np.concatenate([u[won], w[won]]), minlength=n_nodes)
+        pending = np.delete(pending, won)
     return us, vs
 
 

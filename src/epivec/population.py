@@ -19,13 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, checked, number
 from . import rng as keyed
 from .rng import Purpose, substream
 from .stages import NEVER, N_AGE_BANDS, N_OCCUPATIONS, Stage
 from .state import AgentColumns
 
 _DIST_TOL = 1e-9
+_POPULATION_KEYS = ("schema_version", "comment", "n_agents", "age_distribution",
+                    "household_size_distribution", "occupation_distribution",
+                    "occupation_eligible_age_bands", "random_degree_by_age", "networks")
 
 
 def _check_distribution(p, size: int, path: str) -> np.ndarray:
@@ -84,11 +87,15 @@ class PopulationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PopulationSpec":
+        checked(d, _POPULATION_KEYS, "population")
         try:
-            hh = d["household_size_distribution"]
-            networks = d.get("networks", {})
+            hh = checked(d["household_size_distribution"], ("sizes", "probabilities"),
+                         "population.household_size_distribution")
+            networks = checked(d.get("networks", {}),
+                               ("occupation_mean_interactions", "rewire_beta"),
+                               "population.networks")
             return cls(
-                n_agents=int(d["n_agents"]),
+                n_agents=number(d, "n_agents", "population", kind=int),
                 age_distribution=d["age_distribution"],
                 household_sizes=hh["sizes"],
                 household_size_probs=hh["probabilities"],
@@ -97,7 +104,7 @@ class PopulationSpec:
                 random_degree_by_age=d["random_degree_by_age"],
                 occupation_mean_interactions=networks.get(
                     "occupation_mean_interactions", [8.0] * N_OCCUPATIONS),
-                rewire_beta=float(networks.get("rewire_beta", 0.1)),
+                rewire_beta=number(networks, "rewire_beta", "population.networks", 0.1),
             )
         except KeyError as e:
             raise ConfigError(f"population spec: missing field {e.args[0]!r}") from e

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, checked, number
 from .interventions import (TEST_KINDS, DenConfig, ImmunityMode,
                             InterventionConfig, Strategy, STRATEGY_BY_NAME,
                             VaccinePolicy)
@@ -91,18 +91,6 @@ _INTERVENTION_KEYS = {
 }
 
 
-def _checked(d, known, path: str) -> dict:
-    """``d`` itself, once it is an object holding only ``known`` keys."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path or 'scenario'}: expected an object, "
-                          f"got {type(d).__name__}")
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"{path + '.' if path else ''}{key}: unknown key; "
-                              f"expected one of {sorted(known)}")
-    return d
-
-
 def _enabled(block: dict, path: str) -> bool:
     value = block.get("enabled", False)
     if not isinstance(value, bool):
@@ -111,8 +99,8 @@ def _enabled(block: dict, path: str) -> bool:
 
 
 def _interventions_from_dict(d: dict) -> InterventionConfig:
-    _checked(d, _INTERVENTION_KEYS, "interventions")
-    q, t, den, vax = (_checked(d.get(name, {}), keys, f"interventions.{name}")
+    checked(d, _INTERVENTION_KEYS, "interventions")
+    q, t, den, vax = (checked(d.get(name, {}), keys, f"interventions.{name}")
                       for name, keys in _INTERVENTION_KEYS.items())
 
     kind_name = t.get("kind", "rt-pcr")
@@ -133,29 +121,29 @@ def _interventions_from_dict(d: dict) -> InterventionConfig:
 
     return InterventionConfig(
         quarantine_enabled=_enabled(q, "interventions.quarantine"),
-        quarantine_duration=int(q.get("duration", 14)),
-        quarantine_dropout=float(q.get("dropout_prob", 0.05)),
+        quarantine_duration=number(q, "duration", "interventions.quarantine", 14, int),
+        quarantine_dropout=number(q, "dropout_prob", "interventions.quarantine", 0.05),
         testing_enabled=_enabled(t, "interventions.testing"),
         test_kind=TEST_KINDS[kind_name],
-        false_positive_prob=float(t.get("false_positive_prob", 0.0)),
+        false_positive_prob=number(t, "false_positive_prob", "interventions.testing", 0.0),
         den_enabled=_enabled(den, "interventions.den"),
         den=DenConfig(
-            app_adoption=float(den.get("app_adoption", 0.3)),
-            compliance_prob=float(den.get("compliance_prob", 0.8)),
-            lookback=int(den.get("lookback", 7)),
+            app_adoption=number(den, "app_adoption", "interventions.den", 0.3),
+            compliance_prob=number(den, "compliance_prob", "interventions.den", 0.8),
+            lookback=number(den, "lookback", "interventions.den", 7, int),
         ),
         vaccination_enabled=_enabled(vax, "interventions.vaccination"),
         vaccine=VaccinePolicy(
             strategy=STRATEGY_BY_NAME[strategy_name],
-            dose1_efficacy=float(vax.get("dose1_efficacy", 0.8)),
-            dose2_efficacy=float(vax.get("dose2_efficacy", 0.95)),
-            dose1_latency=int(vax.get("dose1_latency", 12)),
-            dose2_latency=int(vax.get("dose2_latency", 0)),
-            dose_gap=int(vax.get("dose_gap", 21)),
-            daily_rate=float(vax.get("daily_rate", 0.003)),
-            start_trigger=float(vax.get("start_trigger", 0.01)),
+            dose1_efficacy=number(vax, "dose1_efficacy", "interventions.vaccination", 0.8),
+            dose2_efficacy=number(vax, "dose2_efficacy", "interventions.vaccination", 0.95),
+            dose1_latency=number(vax, "dose1_latency", "interventions.vaccination", 12, int),
+            dose2_latency=number(vax, "dose2_latency", "interventions.vaccination", 0, int),
+            dose_gap=number(vax, "dose_gap", "interventions.vaccination", 21, int),
+            daily_rate=number(vax, "daily_rate", "interventions.vaccination", 0.003),
+            start_trigger=number(vax, "start_trigger", "interventions.vaccination", 0.01),
             immunity_mode=modes[mode_name],
-            elderly_band=int(vax.get("elderly_band", 6)),
+            elderly_band=number(vax, "elderly_band", "interventions.vaccination", 6, int),
         ),
     )
 
@@ -163,7 +151,7 @@ def _interventions_from_dict(d: dict) -> InterventionConfig:
 def scenario_from_dict(d: dict, base_dir: Path | str = ".",
                        name: str = "scenario") -> ScenarioConfig:
     base_dir = Path(base_dir)
-    _checked(d, _SCENARIO_KEYS, "")
+    checked(d, _SCENARIO_KEYS, "")
     try:
         population = _resolve_section(d.get("population"), base_dir,
                                       PopulationSpec.from_dict, default_population_dict)
@@ -183,10 +171,10 @@ def scenario_from_dict(d: dict, base_dir: Path | str = ".",
         disease=disease,
         progression=progression,
         interventions=interventions,
-        horizon=int(d.get("horizon", 180)),
-        replications=int(d.get("replications", 15)),
-        base_seed=int(d.get("base_seed", 0)),
-        initial_infections=int(d.get("initial_infections", 10)),
+        horizon=number(d, "horizon", "", 180, int),
+        replications=number(d, "replications", "", 15, int),
+        base_seed=number(d, "base_seed", "", 0, int),
+        initial_infections=number(d, "initial_infections", "", 10, int),
     )
 
 

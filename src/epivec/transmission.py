@@ -29,10 +29,15 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError
-from .stages import N_AGE_BANDS, N_NETWORK_KINDS
+from .errors import ConfigError, checked, number
+from .stages import N_AGE_BANDS, N_NETWORK_KINDS, NetworkKind
 
 TAIL_EPS = 1e-6
+_NETWORK_NAMES = tuple(kind.name.lower() for kind in NetworkKind)
+_DISEASE_KEYS = ("schema_version", "comment", "provenance", "rate_scale",
+                 "age_susceptibility", "asymptomatic_factor", "network_scale",
+                 "mean_daily_interactions", "infectiousness_mean_days",
+                 "infectiousness_sd_days")
 
 
 def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
@@ -105,17 +110,18 @@ class DiseaseParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiseaseParams":
+        checked(d, _DISEASE_KEYS, "disease")
         try:
-            net = d["network_scale"]
-            network = [net["household"], net["occupation"], net["random"]]
+            net = checked(d["network_scale"], _NETWORK_NAMES, "disease.network_scale")
             return cls(
-                rate_scale=float(d["rate_scale"]),
+                rate_scale=number(d, "rate_scale", "disease"),
                 age_susceptibility=d["age_susceptibility"],
-                asymptomatic_factor=float(d["asymptomatic_factor"]),
-                network_scale=network,
-                mean_daily_interactions=float(d["mean_daily_interactions"]),
-                infectiousness_mean_days=float(d["infectiousness_mean_days"]),
-                infectiousness_sd_days=float(d["infectiousness_sd_days"]),
+                asymptomatic_factor=number(d, "asymptomatic_factor", "disease"),
+                network_scale=[number(net, name, "disease.network_scale")
+                               for name in _NETWORK_NAMES],
+                mean_daily_interactions=number(d, "mean_daily_interactions", "disease"),
+                infectiousness_mean_days=number(d, "infectiousness_mean_days", "disease"),
+                infectiousness_sd_days=number(d, "infectiousness_sd_days", "disease"),
             )
         except KeyError as e:
             raise ConfigError(f"disease params: missing field {e.args[0]!r}") from e

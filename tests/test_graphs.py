@@ -1,12 +1,14 @@
 """Network construction: households, small-world graphs, per-step realization.
 
 Graph statistics are checked with a brute-force adjacency-set oracle
-(degrees, clustering coefficients) rather than the builders' own arithmetic.
+(degrees, clustering coefficients) rather than the builders' own arithmetic,
+and the vectorized small-world generator against the per-edge loop it
+replaced.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from epivec.graphs import (GraphRealizer, build_households, stub_pairing,
                            undirected_to_directed, watts_strogatz)
@@ -38,6 +40,54 @@ def mean_clustering(adj):
                     links += 1
         coeffs.append(2.0 * links / (d * (d - 1)))
     return float(np.mean(coeffs))
+
+
+def loop_watts_strogatz(n_nodes: int, k: int, beta: float,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the per-edge rewiring loop ``watts_strogatz`` replaced.
+
+    Small-world graph; returns undirected edges as (u, v) position arrays.
+
+    Ring lattice joining each node to k/2 neighbors per side, then each edge
+    rewired at its source end with probability beta, avoiding self-loops and
+    duplicate edges.  Rewiring replaces edges one-for-one, so the undirected
+    edge count is always n*k/2.
+    """
+    if k % 2 != 0:
+        raise ValueError(f"mean degree k must be even, got {k}")
+    if k >= n_nodes:
+        raise ValueError(f"need k < n_nodes, got k={k}, n={n_nodes}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"rewire probability must be in [0, 1], got {beta}")
+    if k == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+
+    half = k // 2
+    base = np.arange(n_nodes, dtype=np.int64)
+    us = np.concatenate([base for _ in range(half)])
+    vs = np.concatenate([(base + j) % n_nodes for j in range(1, half + 1)])
+
+    if beta > 0.0:
+        rewire = np.nonzero(rng.random(len(us)) < beta)[0]
+        if len(rewire):
+            lo = np.minimum(us, vs)
+            hi = np.maximum(us, vs)
+            taken = set((lo * n_nodes + hi).tolist())
+            for i in rewire.tolist():
+                u, v = int(us[i]), int(vs[i])
+                old_key = min(u, v) * n_nodes + max(u, v)
+                taken.discard(old_key)
+                new_v = v
+                for _ in range(8 * n_nodes):
+                    w = int(rng.integers(0, n_nodes))
+                    key = min(u, w) * n_nodes + max(u, w)
+                    if w != u and key not in taken:
+                        new_v = w
+                        break
+                vs[i] = new_v
+                taken.add(min(u, new_v) * n_nodes + max(u, new_v))
+    return us, vs
 
 
 class TestHouseholds:
@@ -81,18 +131,24 @@ class TestWattsStrogatz:
         key = np.minimum(us, vs) * 10 + np.maximum(us, vs)
         assert len(np.unique(key)) == len(key)
 
-    @given(n=st.integers(6, 60), half_k=st.integers(1, 2),
+    @given(n=st.integers(3, 60), half_k=st.integers(1, 2),
            beta=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
            seed=st.integers(0, 10_000))
+    @example(n=3, half_k=1, beta=1.0, seed=0)
+    @example(n=5, half_k=2, beta=1.0, seed=0)
     @settings(max_examples=60, deadline=None)
     def test_rewiring_never_changes_edge_count(self, n, half_k, beta, seed):
         k = 2 * half_k
+        assume(k < n)
         rng = np.random.default_rng(seed)
         us, vs = watts_strogatz(n, k, beta, rng)
         assert len(us) == n * k // 2
         assert not np.any(us == vs)
         key = np.minimum(us, vs) * n + np.maximum(us, vs)
         assert len(np.unique(key)) == len(key)
+        if k == n - 1:   # complete lattice: no free pair, nothing can move
+            lattice = watts_strogatz(n, k, 0.0, rng)
+            assert np.array_equal(us, lattice[0]) and np.array_equal(vs, lattice[1])
 
     def test_rejects_bad_degree(self):
         rng = np.random.default_rng(0)
@@ -112,6 +168,30 @@ class TestWattsStrogatz:
             values[beta] = mean_clustering(adjacency_sets(us, vs, n))
         assert values[0.0] == pytest.approx(0.6, abs=1e-12)  # 3(k-2)/(4(k-1))
         assert values[0.0] > values[0.1] > values[1.0]
+
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5])
+    def test_statistics_match_loop_reference(self, beta):
+        # rewired edges avoid every lattice pair here, while the loop could
+        # land on a pair freed earlier; at n=1000 that must not show in the
+        # edge count, the degree spread or the clustering over 10 seeds.
+        # Tolerances are about four standard errors of the difference of two
+        # 10-seed means (per-seed sd: degree spread 0.035, clustering 0.011)
+        n, k = 1000, 6
+        stats = {}
+        for name, generate in (("vectorized", watts_strogatz),
+                               ("loop", loop_watts_strogatz)):
+            sds, clustering = [], []
+            for seed in range(10):
+                us, vs = generate(n, k, beta, np.random.default_rng(seed))
+                assert len(us) == n * k // 2
+                adj = adjacency_sets(us, vs, n)
+                sds.append(np.std([len(a) for a in adj]))
+                clustering.append(mean_clustering(adj))
+            stats[name] = np.mean(sds), np.mean(clustering)
+        (sd, c), (sd_ref, c_ref) = stats["vectorized"], stats["loop"]
+        assert sd == pytest.approx(sd_ref, abs=0.06)
+        assert c == pytest.approx(c_ref, abs=0.02)
 
 
 class TestStubPairing:

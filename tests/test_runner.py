@@ -14,9 +14,9 @@ from epivec.errors import ConfigError, InvariantViolation, VerificationDivergenc
 from epivec.runner import (CSV_COLUMNS, RunResult, bench, load_results,
                            replication_seed, run_replication, run_scenario,
                            summarize, summary_to_csv, summary_to_long_csv)
-from epivec.scenario import (ScenarioConfig, default_population_dict,
-                             default_scenario, load_scenario,
-                             scenario_from_dict)
+from epivec.scenario import (ScenarioConfig, default_disease_dict,
+                             default_population_dict, default_scenario,
+                             load_scenario, scenario_from_dict)
 
 
 def tiny_scenario(n=300, horizon=12, replications=2, seed=5, **kwargs):
@@ -26,6 +26,12 @@ def tiny_scenario(n=300, horizon=12, replications=2, seed=5, **kwargs):
          "base_seed": seed, "initial_infections": 5}
     d.update(kwargs)
     return scenario_from_dict(d, name="tiny")
+
+
+def with_sections(population=None, disease=None, **top):
+    """A scenario dict with the packaged sections, each updated at its top level."""
+    return {"population": {**default_population_dict(), **(population or {})},
+            "disease": {**default_disease_dict(), **(disease or {})}, **top}
 
 
 def run_files(out):
@@ -96,6 +102,46 @@ class TestScenarioLoading:
     def test_unknown_intervention_key_rejected(self, interventions, path):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: unknown key"):
             tiny_scenario(interventions=interventions)
+
+    @pytest.mark.parametrize("d, path", [
+        ({"population": {"n_agnts": 300}}, "population.n_agnts"),
+        ({"population": {"networks": {"rewire_bta": 0.9}}},
+         "population.networks.rewire_bta"),
+        ({"population": {"household_size_distribution": {
+            "sizes": [1], "probabilities": [1.0], "weights": [1.0]}}},
+         "population.household_size_distribution.weights"),
+        ({"disease": {"rate_scal": 3.0}}, "disease.rate_scal"),
+        ({"disease": {"network_scale": {"household": 2.0, "occupation": 1.0,
+                                        "random": 1.0, "school": 1.0}}},
+         "disease.network_scale.school"),
+    ])
+    def test_unknown_section_key_rejected(self, d, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: unknown key"):
+            scenario_from_dict(with_sections(**d))
+
+    @pytest.mark.parametrize("d, path, problem", [
+        ({"horizon": "abc"}, "horizon", "a number"),
+        ({"horizon": 2.9}, "horizon", "a whole number"),
+        ({"replications": True}, "replications", "a number"),
+        ({"base_seed": None}, "base_seed", "a number"),
+        ({"interventions": {"quarantine": {"duration": 14.9}}},
+         "interventions.quarantine.duration", "a whole number"),
+        ({"interventions": {"den": {"app_adoption": "most"}}},
+         "interventions.den.app_adoption", "a number"),
+        ({"interventions": {"vaccination": {"daily_rate": float("nan")}}},
+         "interventions.vaccination.daily_rate", "a number"),
+        ({"population": {"n_agents": 300.5}}, "population.n_agents", "a whole number"),
+        ({"disease": {"network_scale": {"household": "2", "occupation": 1.0,
+                                        "random": 1.0}}},
+         "disease.network_scale.household", "a number"),
+    ])
+    def test_bad_scalar_rejected(self, d, path, problem):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected {problem},"):
+            scenario_from_dict(with_sections(**d))
+
+    def test_whole_float_accepted_for_integer_field(self):
+        config = tiny_scenario(horizon=3.0)
+        assert config.horizon == 3 and isinstance(config.horizon, int)
 
     @pytest.mark.parametrize("block", ["quarantine", "testing", "den", "vaccination"])
     @pytest.mark.parametrize("value", ["false", 0, None])
@@ -249,9 +295,12 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"horizon\": 0}")
-        assert main(["simulate", "--scenario", str(bad),
-                     "--out", str(tmp_path / "x")]) == 1
+        for d in ({"horizon": 0}, {"horizon": "abc"}, {"horizon": 2.9},
+                  {"interventions": {"quarantine": {"duration": 14.9}}},
+                  with_sections(population={"networks": {"rewire_bta": 0.9}})):
+            bad.write_text(json.dumps(d))
+            assert main(["simulate", "--scenario", str(bad),
+                         "--out", str(tmp_path / "x")]) == 1, d
 
     @pytest.mark.parametrize("argv", [[], ["simulate"], ["frobnicate"],
                                       ["bench", "--agents", "many"]])
