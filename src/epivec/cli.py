@@ -18,8 +18,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation, VerificationDivergence
-from .runner import (bench, load_results, run_scenario, summarize,
-                     summary_to_csv, summary_to_long_csv, verify_equivalence)
+from .runner import (QUARTILES, bench, csv_text, load_results, run_scenario,
+                     summarize, summary_to_csv, summary_to_long_csv,
+                     verify_equivalence)
 from .scenario import default_scenario, load_scenario
 
 
@@ -123,16 +124,15 @@ def _cmd_compare(args) -> int:
         final_deaths = summary["cumulative_deaths"][-1]
         final_infections = summary["cumulative_infections"][-1]
         rows.append((config.name, final_infections, final_deaths))
-    lines = ["scenario,infections_q25,infections_q50,infections_q75,"
-             "deaths_q25,deaths_q50,deaths_q75"]
     print(f"{'scenario':<32} {'median infections':>18} {'median deaths':>14}")
     for name, infections, deaths in rows:
         print(f"{name:<32} {infections[1]:>18.1f} {deaths[1]:>14.1f}")
-        lines.append(",".join([name]
-                              + [repr(float(v)) for v in infections]
-                              + [repr(float(v)) for v in deaths]))
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        header = ["scenario"] + [f"{metric}_q{q}" for metric in ("infections", "deaths")
+                                 for q in QUARTILES]
+        Path(args.out).write_text(csv_text([], header, (
+            [name, *infections.tolist(), *deaths.tolist()]
+            for name, infections, deaths in rows)))
     return 0
 
 

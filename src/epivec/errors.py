@@ -52,12 +52,23 @@ def checked(d, known, path: str) -> dict:
 def number(d: dict, key: str, path: str, default=None, kind=float):
     """``d[key]`` as ``kind`` (int or float), or ``default`` when it is absent.
 
-    Without a default the key is required and its absence raises KeyError.  A
-    value that is not a finite number, or not a whole number for an int
-    field, raises a ConfigError naming ``path.key``.
+    Without a default the key is required.  An absent required key, a value
+    that is not a finite number, or one that is not a whole number for an
+    int field raises a ConfigError naming ``path.key``.
     """
-    value = d[key] if default is None else d.get(key, default)
-    where = f"{path}.{key}" if path else key
+    return _finite(d.get(key, default), f"{path}.{key}" if path else key, kind)
+
+
+def number_list(d: dict, key: str, path: str, default=None, kind=float) -> list:
+    """``d[key]`` as a list of ``kind``, each entry checked like ``number``;
+    a bad entry raises a ConfigError naming ``path.key[index]``."""
+    values = d.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{path}.{key}: expected a list, got {values!r}")
+    return [_finite(v, f"{path}.{key}[{i}]", kind) for i, v in enumerate(values)]
+
+
+def _finite(value, where: str, kind):
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")

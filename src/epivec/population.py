@@ -13,13 +13,11 @@ relative to the configured values.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, checked, number
+from .errors import ConfigError, checked, number, number_list
 from . import rng as keyed
 from .rng import Purpose, substream
 from .stages import NEVER, N_AGE_BANDS, N_OCCUPATIONS, Stage
@@ -88,31 +86,27 @@ class PopulationSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "PopulationSpec":
         checked(d, _POPULATION_KEYS, "population")
-        try:
-            hh = checked(d["household_size_distribution"], ("sizes", "probabilities"),
-                         "population.household_size_distribution")
-            networks = checked(d.get("networks", {}),
-                               ("occupation_mean_interactions", "rewire_beta"),
-                               "population.networks")
-            return cls(
-                n_agents=number(d, "n_agents", "population", kind=int),
-                age_distribution=d["age_distribution"],
-                household_sizes=hh["sizes"],
-                household_size_probs=hh["probabilities"],
-                occupation_distribution=d["occupation_distribution"],
-                occupation_eligible_bands=tuple(d["occupation_eligible_age_bands"]),
-                random_degree_by_age=d["random_degree_by_age"],
-                occupation_mean_interactions=networks.get(
-                    "occupation_mean_interactions", [8.0] * N_OCCUPATIONS),
-                rewire_beta=number(networks, "rewire_beta", "population.networks", 0.1),
-            )
-        except KeyError as e:
-            raise ConfigError(f"population spec: missing field {e.args[0]!r}") from e
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PopulationSpec":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        hh_path = "population.household_size_distribution"
+        hh = checked(d.get("household_size_distribution"), ("sizes", "probabilities"),
+                     hh_path)
+        networks = checked(d.get("networks", {}),
+                           ("occupation_mean_interactions", "rewire_beta"),
+                           "population.networks")
+        return cls(
+            n_agents=number(d, "n_agents", "population", kind=int),
+            age_distribution=number_list(d, "age_distribution", "population"),
+            household_sizes=number_list(hh, "sizes", hh_path, kind=int),
+            household_size_probs=number_list(hh, "probabilities", hh_path),
+            occupation_distribution=number_list(d, "occupation_distribution",
+                                                "population"),
+            occupation_eligible_bands=tuple(number_list(
+                d, "occupation_eligible_age_bands", "population", kind=int)),
+            random_degree_by_age=number_list(d, "random_degree_by_age", "population"),
+            occupation_mean_interactions=number_list(
+                networks, "occupation_mean_interactions", "population.networks",
+                [8.0] * N_OCCUPATIONS),
+            rewire_beta=number(networks, "rewire_beta", "population.networks", 0.1),
+        )
 
 
 def synthesize(spec: PopulationSpec, seed: int) -> AgentColumns:

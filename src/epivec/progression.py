@@ -12,15 +12,13 @@ identical values from identical keys.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError
+from .errors import ConfigError, checked, number, number_list
 from .stages import NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
 
 # Transitions the model allows.  SUSCEPTIBLE edges are entry branches taken at
@@ -36,6 +34,9 @@ LEGAL_EDGES = {
     Stage.HOSPITALIZED: (Stage.CRITICAL_ICU, Stage.RECOVERED),
     Stage.CRITICAL_ICU: (Stage.DEAD, Stage.RECOVERED),
 }
+# Each duration family's parameters; all but a lognormal's mu must be positive.
+_DURATION_PARAMS = {"gamma": ("mean", "sd"), "lognormal": ("mu", "sigma"),
+                   "constant": ("days",)}
 
 
 @dataclass(frozen=True)
@@ -63,23 +64,17 @@ class DurationSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "DurationSpec":
-        family = d.get("family")
-        if family == "gamma":
-            mean, sd = float(d["mean"]), float(d["sd"])
-            if mean <= 0 or sd <= 0:
-                raise ConfigError(f"{where}: gamma mean/sd must be positive")
-            return cls("gamma", (mean, sd))
-        if family == "lognormal":
-            mu, sigma = float(d["mu"]), float(d["sigma"])
-            if sigma <= 0:
-                raise ConfigError(f"{where}: lognormal sigma must be positive")
-            return cls("lognormal", (mu, sigma))
-        if family == "constant":
-            days = float(d["days"])
-            if days <= 0:
-                raise ConfigError(f"{where}: constant days must be positive")
-            return cls("constant", (days,))
-        raise ConfigError(f"{where}: unknown duration family {family!r}")
+        family = d.get("family") if isinstance(d, dict) else None
+        if not isinstance(family, str) or family not in _DURATION_PARAMS:
+            raise ConfigError(f"{where}.family: unknown duration family {family!r}; "
+                              f"expected one of {sorted(_DURATION_PARAMS)}")
+        names = _DURATION_PARAMS[family]
+        checked(d, ("family", *names), where)
+        params = tuple(number(d, name, where) for name in names)
+        for name, value in zip(names, params):
+            if value <= 0 and name != "mu":
+                raise ConfigError(f"{where}.{name}: must be positive, got {value!r}")
+        return cls(family, params)
 
 
 def round_delay(days):
@@ -163,20 +158,22 @@ class ProgressionTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProgressionTable":
+        checked(d, ("schema_version", "comment", "edges"), "progression")
         edges = d.get("edges")
         if not isinstance(edges, list) or not edges:
-            raise ConfigError("progression table: 'edges' must be a non-empty list")
+            raise ConfigError("progression.edges: expected a non-empty list")
         by_stage: dict[Stage, list[tuple[Stage, np.ndarray, DurationSpec | None]]] = {}
         for i, e in enumerate(edges):
-            where = f"edges[{i}]"
+            where = f"progression.edges[{i}]"
+            checked(e, ("from", "to", "probability", "duration"), where)
             try:
-                src = STAGE_BY_NAME[e["from"]]
-                dst = STAGE_BY_NAME[e["to"]]
-            except KeyError as err:
-                raise ConfigError(f"{where}: unknown stage {err.args[0]!r}") from err
+                src, dst = STAGE_BY_NAME[e["from"]], STAGE_BY_NAME[e["to"]]
+            except (KeyError, TypeError) as err:
+                raise ConfigError(f"{where}: 'from' and 'to' must name stages, got "
+                                  f"{e.get('from')!r} -> {e.get('to')!r}") from err
             if src not in LEGAL_EDGES or dst not in LEGAL_EDGES[src]:
                 raise ConfigError(f"{where}: illegal transition {src!s} -> {dst!s}")
-            probs = np.asarray(e.get("probability"), dtype=np.float64)
+            probs = np.asarray(number_list(e, "probability", where))
             if probs.shape != (N_AGE_BANDS,):
                 raise ConfigError(f"{where}.probability: need {N_AGE_BANDS} entries")
             if np.any(probs < 0) or np.any(probs > 1):
@@ -197,14 +194,14 @@ class ProgressionTable:
         for src, entries in by_stage.items():
             targets = [t for t, _, _ in entries]
             if len(set(targets)) != len(targets):
-                raise ConfigError(f"duplicate edge out of {src!s}")
+                raise ConfigError(f"progression.edges: duplicate edge out of {src!s}")
             probs = np.stack([p for _, p, _ in entries], axis=1)  # (bands, n)
             sums = probs.sum(axis=1)
             bad = np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]
             if len(bad):
                 raise ConfigError(
-                    f"branch probabilities out of {src!s} sum to {sums[bad[0]]:.12g} "
-                    f"for age band {int(bad[0])}; must sum to 1")
+                    f"progression.edges: branch probabilities out of {src!s} sum "
+                    f"to {sums[bad[0]]:.12g} for age band {int(bad[0])}; must sum to 1")
             rules[src] = StageRule(
                 targets=targets,
                 cum_probs=np.cumsum(probs, axis=1),
@@ -212,10 +209,5 @@ class ProgressionTable:
             )
         for required in LEGAL_EDGES:
             if required not in rules:
-                raise ConfigError(f"progression table: no edges out of {required!s}")
+                raise ConfigError(f"progression.edges: no edges out of {required!s}")
         return cls(rules)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ProgressionTable":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))

@@ -14,7 +14,7 @@ metric.
 
 from __future__ import annotations
 
-import io
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ from .oracle import OracleSim, agents_from_columns
 from .population import seed_infections, synthesize
 from .rng import Purpose
 from .scenario import ScenarioConfig
-from .stages import NEVER, N_STAGES, Stage
+from .stages import NEVER, Stage
 from .state import AgentColumns, DYNAMIC_COLUMNS
 
 SCHEMA = "epivec-timeseries-v1"
@@ -41,6 +41,16 @@ CSV_COLUMNS = (["step"] + STAGE_COLUMNS
                   "new_infections", "tests_administered", "doses_given",
                   "notifications_sent"])
 SUMMARY_METRICS = [c for c in CSV_COLUMNS if c != "step"]
+QUARTILES = (25, 50, 75)
+
+
+def csv_text(meta_lines, header, rows) -> str:
+    """Every output CSV: ``# `` comment lines, the header, one line per row.
+    Cells are ``str`` of Python scalars (rows from ``.tolist()``): integers
+    print as digits, floats as their shortest round-trip repr."""
+    lines = [f"# {m}" for m in meta_lines] + [",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -57,27 +67,30 @@ class RunResult:
         return self.data[:, CSV_COLUMNS.index(name)]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# schema={SCHEMA}\n")
-        buf.write(f"# replication={self.replication} seed={self.seed}\n")
-        buf.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.data:
-            buf.write(",".join(str(int(v)) for v in row) + "\n")
-        return buf.getvalue()
+        return csv_text([f"schema={SCHEMA}",
+                         f"replication={self.replication} seed={self.seed}"],
+                        CSV_COLUMNS, self.data.tolist())
 
     @classmethod
     def from_csv(cls, text: str) -> "RunResult":
+        """Parse ``to_csv`` output; anything else raises a ConfigError."""
         lines = text.splitlines()
-        if not lines or lines[0] != f"# schema={SCHEMA}":
+        if lines[:1] != [f"# schema={SCHEMA}"]:
             raise ConfigError(f"not a {SCHEMA} file")
-        meta = dict(part.split("=") for part in lines[1][2:].split(" "))
-        header = lines[2].split(",")
-        if header != CSV_COLUMNS:
+        meta = re.fullmatch(r"# replication=(\d+) seed=(\d+)", "".join(lines[1:2]))
+        if meta is None:
+            raise ConfigError("line 2: expected '# replication=<int> seed=<int>'")
+        if lines[2:3] != [",".join(CSV_COLUMNS)]:
             raise ConfigError("time-series column mismatch with schema")
-        data = np.array([[int(v) for v in line.split(",")]
-                         for line in lines[3:] if line], dtype=np.int64)
-        return cls(replication=int(meta["replication"]), seed=int(meta["seed"]),
-                   data=data)
+        if not any(lines[3:]):
+            raise ConfigError("no data rows")
+        try:
+            data = np.loadtxt(lines[3:], delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as e:
+            raise ConfigError(f"time-series rows: {e}") from e
+        if data.shape[1] != len(CSV_COLUMNS):
+            raise ConfigError(f"time-series rows: expected {len(CSV_COLUMNS)} columns")
+        return cls(replication=int(meta[1]), seed=int(meta[2]), data=data)
 
 
 def replication_seed(base_seed: int, index: int) -> int:
@@ -107,19 +120,12 @@ def initialize_run(config: ScenarioConfig, seed: int
 def _record_row(out: np.ndarray, row: int, cols: AgentColumns,
                 ev: StepEvents) -> None:
     counts = cols.stage_counts()
-    cumulative_infections = int(np.sum(cols.infected_at != NEVER))
-    cumulative_deaths = int(counts[int(Stage.DEAD)])
-    in_care = int(counts[int(Stage.HOSPITALIZED)] + counts[int(Stage.CRITICAL_ICU)])
-    out[row, 0] = ev.step
-    out[row, 1:1 + N_STAGES] = counts
-    base = 1 + N_STAGES
-    out[row, base + 0] = cumulative_infections
-    out[row, base + 1] = cumulative_deaths
-    out[row, base + 2] = in_care
-    out[row, base + 3] = ev.new_infections
-    out[row, base + 4] = ev.tests_administered
-    out[row, base + 5] = ev.doses_given
-    out[row, base + 6] = ev.notifications_sent
+    out[row] = [ev.step, *counts,
+                np.sum(cols.infected_at != NEVER),
+                counts[int(Stage.DEAD)],
+                counts[int(Stage.HOSPITALIZED)] + counts[int(Stage.CRITICAL_ICU)],
+                ev.new_infections, ev.tests_administered, ev.doses_given,
+                ev.notifications_sent]
 
 
 def _replay(config: ScenarioConfig, seed: int, engine: bool = True,
@@ -151,14 +157,13 @@ def _replay(config: ScenarioConfig, seed: int, engine: bool = True,
     return steps()
 
 
-def run_replication(config: ScenarioConfig, index: int,
-                    check_invariants: bool = True) -> RunResult:
+def run_replication(config: ScenarioConfig, index: int) -> RunResult:
     """One seeded end-to-end replication; wall time includes set-up."""
     seed = replication_seed(config.base_seed, index)
     data = np.zeros((config.horizon, len(CSV_COLUMNS)), dtype=np.int64)
     edges_total = 0
     t0 = time.perf_counter()
-    for cols, _, _, ev in _replay(config, seed, check_invariants=check_invariants):
+    for cols, _, _, ev in _replay(config, seed):
         edges_total += ev.n_edges
         _record_row(data, ev.step, cols, ev)
     wall = time.perf_counter() - t0
@@ -201,47 +206,40 @@ def summarize(results: list[RunResult]) -> dict[str, np.ndarray]:
     out = {}
     for metric in SUMMARY_METRICS:
         stacked = np.stack([r.column(metric) for r in results], axis=1)
-        out[metric] = np.percentile(stacked, [25, 50, 75], axis=1).T
+        out[metric] = np.percentile(stacked, QUARTILES, axis=1).T
     return out
 
 
 def summary_to_csv(summary: dict[str, np.ndarray]) -> str:
     """Wide layout: one row per step, three columns per metric."""
-    buf = io.StringIO()
-    buf.write("# schema=epivec-summary-v1\n")
-    header = ["step"]
-    for metric in SUMMARY_METRICS:
-        header += [f"{metric}_q25", f"{metric}_q50", f"{metric}_q75"]
-    buf.write(",".join(header) + "\n")
-    horizon = next(iter(summary.values())).shape[0]
-    for step in range(horizon):
-        row = [str(step)]
-        for metric in SUMMARY_METRICS:
-            row += [repr(float(v)) for v in summary[metric][step]]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    header = ["step"] + [f"{m}_q{q}" for m in SUMMARY_METRICS for q in QUARTILES]
+    table = np.hstack([summary[m] for m in SUMMARY_METRICS]).tolist()
+    return csv_text(["schema=epivec-summary-v1"], header,
+                    ([step, *row] for step, row in enumerate(table)))
 
 
 def summary_to_long_csv(summary: dict[str, np.ndarray]) -> str:
     """Plot-ready long layout: step, metric, quantile, value."""
-    buf = io.StringIO()
-    buf.write("# schema=epivec-summary-long-v1\n")
-    buf.write("step,metric,quantile,value\n")
-    horizon = next(iter(summary.values())).shape[0]
-    for metric in SUMMARY_METRICS:
-        block = summary[metric]
-        for step in range(horizon):
-            for qname, value in zip(("q25", "q50", "q75"), block[step]):
-                buf.write(f"{step},{metric},{qname},{repr(float(value))}\n")
-    return buf.getvalue()
+    rows = ([step, metric, f"q{q}", value] for metric in SUMMARY_METRICS
+            for step, values in enumerate(summary[metric].tolist())
+            for q, value in zip(QUARTILES, values))
+    return csv_text(["schema=epivec-summary-long-v1"],
+                    ["step", "metric", "quantile", "value"], rows)
 
 
 def load_results(run_dir: str | Path) -> list[RunResult]:
+    """Every run_*.csv under ``run_dir``; a bad file is a ConfigError naming it."""
     run_dir = Path(run_dir)
     paths = sorted(run_dir.glob("run_*.csv"))
     if not paths:
         raise ConfigError(f"no run_*.csv files under {run_dir}")
-    return [RunResult.from_csv(p.read_text()) for p in paths]
+    results = []
+    for path in paths:
+        try:
+            results.append(RunResult.from_csv(path.read_text()))
+        except (ConfigError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: {e}") from e
+    return results
 
 
 # -- benchmark ----------------------------------------------------------------

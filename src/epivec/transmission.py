@@ -21,15 +21,13 @@ out to the day where the residual tail mass drops below ``TAIL_EPS``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, checked, number
+from .errors import ConfigError, checked, number, number_list
 from .stages import N_AGE_BANDS, N_NETWORK_KINDS, NetworkKind
 
 TAIL_EPS = 1e-6
@@ -111,25 +109,17 @@ class DiseaseParams:
     @classmethod
     def from_dict(cls, d: dict) -> "DiseaseParams":
         checked(d, _DISEASE_KEYS, "disease")
-        try:
-            net = checked(d["network_scale"], _NETWORK_NAMES, "disease.network_scale")
-            return cls(
-                rate_scale=number(d, "rate_scale", "disease"),
-                age_susceptibility=d["age_susceptibility"],
-                asymptomatic_factor=number(d, "asymptomatic_factor", "disease"),
-                network_scale=[number(net, name, "disease.network_scale")
-                               for name in _NETWORK_NAMES],
-                mean_daily_interactions=number(d, "mean_daily_interactions", "disease"),
-                infectiousness_mean_days=number(d, "infectiousness_mean_days", "disease"),
-                infectiousness_sd_days=number(d, "infectiousness_sd_days", "disease"),
-            )
-        except KeyError as e:
-            raise ConfigError(f"disease params: missing field {e.args[0]!r}") from e
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "DiseaseParams":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        net = checked(d.get("network_scale"), _NETWORK_NAMES, "disease.network_scale")
+        return cls(
+            rate_scale=number(d, "rate_scale", "disease"),
+            age_susceptibility=number_list(d, "age_susceptibility", "disease"),
+            asymptomatic_factor=number(d, "asymptomatic_factor", "disease"),
+            network_scale=[number(net, name, "disease.network_scale")
+                           for name in _NETWORK_NAMES],
+            mean_daily_interactions=number(d, "mean_daily_interactions", "disease"),
+            infectiousness_mean_days=number(d, "infectiousness_mean_days", "disease"),
+            infectiousness_sd_days=number(d, "infectiousness_sd_days", "disease"),
+        )
 
 
 def edge_hazard(t: int, source_asymptomatic: bool, target_age_band: int,

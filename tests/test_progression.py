@@ -60,6 +60,14 @@ class TestValidation:
                 {"from": "recovered", "to": "susceptible", "probability": [1.0] * 9},
             ]})
 
+    @pytest.mark.parametrize("ends", [{"from": "susceptibl", "to": "asymptomatic"},
+                                      {"from": ["susceptible"], "to": "asymptomatic"},
+                                      {"to": "asymptomatic"}])
+    def test_edge_ends_must_name_stages(self, ends):
+        with pytest.raises(ConfigError, match=r"^progression\.edges\[0\]: 'from' and "
+                                              "'to' must name stages"):
+            ProgressionTable.from_dict({"edges": [{**ends, "probability": [1.0] * 9}]})
+
     def test_out_of_range_probability_reports_band(self):
         probs = [0.4] * 9
         probs[7] = 1.4

@@ -1,22 +1,26 @@
 """Replication runner, CSV round-trips, quantile summaries, scenario key
 checks, CLI exit codes and flags."""
 
+import io
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epivec import cli
 from epivec.cli import main
 from epivec.errors import ConfigError, InvariantViolation, VerificationDivergence
-from epivec.runner import (CSV_COLUMNS, RunResult, bench, load_results,
-                           replication_seed, run_replication, run_scenario,
-                           summarize, summary_to_csv, summary_to_long_csv)
+from epivec.runner import (CSV_COLUMNS, SCHEMA, SUMMARY_METRICS, RunResult,
+                           bench, load_results, replication_seed,
+                           run_replication, run_scenario, summarize,
+                           summary_to_csv, summary_to_long_csv)
 from epivec.scenario import (ScenarioConfig, default_disease_dict,
-                             default_population_dict, default_scenario,
-                             load_scenario, scenario_from_dict)
+                             default_population_dict, default_progression_dict,
+                             default_scenario, load_scenario, scenario_from_dict)
 
 
 def tiny_scenario(n=300, horizon=12, replications=2, seed=5, **kwargs):
@@ -28,14 +32,28 @@ def tiny_scenario(n=300, horizon=12, replications=2, seed=5, **kwargs):
     return scenario_from_dict(d, name="tiny")
 
 
-def with_sections(population=None, disease=None, **top):
+def with_sections(population=None, disease=None, progression=None, **top):
     """A scenario dict with the packaged sections, each updated at its top level."""
     return {"population": {**default_population_dict(), **(population or {})},
-            "disease": {**default_disease_dict(), **(disease or {})}, **top}
+            "disease": {**default_disease_dict(), **(disease or {})},
+            "progression": {**default_progression_dict(), **(progression or {})},
+            **top}
+
+
+def edges_with(i, **edge):
+    """The packaged progression edges, edge ``i`` updated at its top level;
+    edge 3 is asymptomatic -> recovered with a gamma duration."""
+    edges = default_progression_dict()["edges"]
+    edges[i] = {**edges[i], **edge}
+    return {"edges": edges}
 
 
 def run_files(out):
     return {p.name: p.read_bytes() for p in sorted(out.glob("run_*.csv"))}
+
+
+# Two rows, 0..18 and 19..37: the second starts "\n19,20,21," and ends ",37\n".
+GOOD_RUN = RunResult(0, 7, np.arange(2 * len(CSV_COLUMNS)).reshape(2, -1)).to_csv()
 
 
 def bench_interactions(seed=0, use_oracle=False):
@@ -62,6 +80,88 @@ def sort_based_quantile(values, q):
     hi = int(np.ceil(pos))
     frac = pos - lo
     return float(v[lo] * (1 - frac) + v[hi] * frac)
+
+
+# -- References: the per-value CSV writers and the parser that the shared codec
+# (``runner.csv_text`` and ``np.loadtxt``) replaced, kept verbatim; the codec
+# must reproduce their bytes.
+
+def reference_to_csv(self) -> str:
+    """Was ``RunResult.to_csv``."""
+    buf = io.StringIO()
+    buf.write(f"# schema={SCHEMA}\n")
+    buf.write(f"# replication={self.replication} seed={self.seed}\n")
+    buf.write(",".join(CSV_COLUMNS) + "\n")
+    for row in self.data:
+        buf.write(",".join(str(int(v)) for v in row) + "\n")
+    return buf.getvalue()
+
+
+def reference_from_csv(text: str) -> RunResult:
+    """Was ``RunResult.from_csv``; it raised IndexError or ValueError on a
+    truncated or corrupt file, so only well-formed text is compared."""
+    lines = text.splitlines()
+    if not lines or lines[0] != f"# schema={SCHEMA}":
+        raise ConfigError(f"not a {SCHEMA} file")
+    meta = dict(part.split("=") for part in lines[1][2:].split(" "))
+    header = lines[2].split(",")
+    if header != CSV_COLUMNS:
+        raise ConfigError("time-series column mismatch with schema")
+    data = np.array([[int(v) for v in line.split(",")]
+                     for line in lines[3:] if line], dtype=np.int64)
+    return RunResult(replication=int(meta["replication"]), seed=int(meta["seed"]),
+                     data=data)
+
+
+def reference_summary_to_csv(summary: dict[str, np.ndarray]) -> str:
+    """Wide layout: one row per step, three columns per metric."""
+    buf = io.StringIO()
+    buf.write("# schema=epivec-summary-v1\n")
+    header = ["step"]
+    for metric in SUMMARY_METRICS:
+        header += [f"{metric}_q25", f"{metric}_q50", f"{metric}_q75"]
+    buf.write(",".join(header) + "\n")
+    horizon = next(iter(summary.values())).shape[0]
+    for step in range(horizon):
+        row = [str(step)]
+        for metric in SUMMARY_METRICS:
+            row += [repr(float(v)) for v in summary[metric][step]]
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
+
+
+def reference_summary_to_long_csv(summary: dict[str, np.ndarray]) -> str:
+    """Plot-ready long layout: step, metric, quantile, value."""
+    buf = io.StringIO()
+    buf.write("# schema=epivec-summary-long-v1\n")
+    buf.write("step,metric,quantile,value\n")
+    horizon = next(iter(summary.values())).shape[0]
+    for metric in SUMMARY_METRICS:
+        block = summary[metric]
+        for step in range(horizon):
+            for qname, value in zip(("q25", "q50", "q75"), block[step]):
+                buf.write(f"{step},{metric},{qname},{repr(float(value))}\n")
+    return buf.getvalue()
+
+
+def reference_compare_csv(rows) -> str:
+    """The file half of ``epivec compare``: rows of (name, infections, deaths)."""
+    lines = ["scenario,infections_q25,infections_q50,infections_q75,"
+             "deaths_q25,deaths_q50,deaths_q75"]
+    for name, infections, deaths in rows:
+        lines.append(",".join([name]
+                              + [repr(float(v)) for v in infections]
+                              + [repr(float(v)) for v in deaths]))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 1e16, 5e-324, 0.1 + 0.2, 1e-7, 123456789.0, 1e300]
+quartile_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+def quartile_arrays(horizon):
+    """(horizon, 3) float64 quartile blocks, edge values included."""
+    return arrays(np.float64, (horizon, 3), elements=quartile_floats)
 
 
 class TestScenarioLoading:
@@ -114,6 +214,12 @@ class TestScenarioLoading:
         ({"disease": {"network_scale": {"household": 2.0, "occupation": 1.0,
                                         "random": 1.0, "school": 1.0}}},
          "disease.network_scale.school"),
+        ({"progression": {"edgez": []}}, "progression.edgez"),
+        ({"progression": edges_with(3, probabilty=[1.0] * 9)},
+         "progression.edges[3].probabilty"),
+        ({"progression": edges_with(3, duration={"family": "gamma", "mean": 8.0,
+                                                 "sd": 3.0, "sigma": 1.0})},
+         "progression.edges[3].duration.sigma"),
     ])
     def test_unknown_section_key_rejected(self, d, path):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: unknown key"):
@@ -134,6 +240,29 @@ class TestScenarioLoading:
         ({"disease": {"network_scale": {"household": "2", "occupation": 1.0,
                                         "random": 1.0}}},
          "disease.network_scale.household", "a number"),
+        ({"progression": edges_with(3, duration={"family": "gamma", "mean": "abc",
+                                                 "sd": 3.0})},
+         "progression.edges[3].duration.mean", "a number"),
+        ({"progression": edges_with(3, duration={"family": "gamma", "mean": 8.0})},
+         "progression.edges[3].duration.sd", "a number"),
+        ({"progression": edges_with(4, duration={"family": "lognormal", "mu": None,
+                                                 "sigma": 0.35})},
+         "progression.edges[4].duration.mu", "a number"),
+        ({"progression": edges_with(3, duration={"family": "constant", "days": True})},
+         "progression.edges[3].duration.days", "a number"),
+        ({"progression": edges_with(3, probability=["1"] * 9)},
+         "progression.edges[3].probability[0]", "a number"),
+        ({"population": {"age_distribution": ["a"] + [0.125] * 8}},
+         "population.age_distribution[0]", "a number"),
+        ({"population": {"occupation_eligible_age_bands": [2, 2.5, 4]}},
+         "population.occupation_eligible_age_bands[1]", "a whole number"),
+        ({"population": {"household_size_distribution": {
+            "sizes": [1, 1.5], "probabilities": [0.5, 0.5]}}},
+         "population.household_size_distribution.sizes[1]", "a whole number"),
+        ({"population": {"random_degree_by_age": [2.0] * 8 + [float("inf")]}},
+         "population.random_degree_by_age[8]", "a number"),
+        ({"population": {"networks": {"occupation_mean_interactions": "eight"}}},
+         "population.networks.occupation_mean_interactions", "a list"),
     ])
     def test_bad_scalar_rejected(self, d, path, problem):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected {problem},"):
@@ -214,6 +343,49 @@ class TestCsvRoundTrip:
         assert parsed.seed == result.seed
         assert np.array_equal(parsed.data, result.data)
 
+    @given(data=st.integers(1, 12).flatmap(
+               lambda horizon: arrays(np.int64, (horizon, len(CSV_COLUMNS)))),
+           replication=st.integers(0, 10**6), seed=st.integers(0, 2**64 - 1))
+    @example(data=np.array([[np.iinfo(np.int64).min] * (len(CSV_COLUMNS) - 1)
+                            + [np.iinfo(np.int64).max]]), replication=0, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_run_codec_matches_reference(self, data, replication, seed):
+        result = RunResult(replication, seed, data)
+        text = result.to_csv()
+        assert text == reference_to_csv(result)
+        parsed, expected = RunResult.from_csv(text), reference_from_csv(text)
+        assert (parsed.replication, parsed.seed) == (expected.replication, expected.seed)
+        assert parsed.data.dtype == expected.data.dtype == np.int64
+        assert np.array_equal(parsed.data, expected.data)
+
+    @given(summary=st.integers(1, 6).flatmap(lambda horizon: st.fixed_dictionaries(
+        {m: quartile_arrays(horizon) for m in SUMMARY_METRICS})))
+    @example(summary={m: np.array([[-0.0, 1e16, 5e-324]]) for m in SUMMARY_METRICS})
+    @settings(max_examples=100, deadline=None)
+    def test_summary_codec_matches_reference(self, summary):
+        assert summary_to_csv(summary) == reference_summary_to_csv(summary)
+        assert summary_to_long_csv(summary) == reference_summary_to_long_csv(summary)
+
+    @given(rows=st.lists(st.tuples(
+        st.from_regex(r"[a-z][a-z0-9_ ]{0,11}", fullmatch=True),
+        arrays(np.float64, 3, elements=quartile_floats),
+        arrays(np.float64, 3, elements=quartile_floats)), min_size=1, max_size=4))
+    @example(rows=[("s", np.array([-0.0, 1e16, 5e-324]), np.array([0.1 + 0.2] * 3))])
+    @settings(max_examples=50, deadline=None)
+    def test_compare_file_matches_reference(self, tmp_path_factory, rows):
+        """``epivec compare`` with scenario loading and running stubbed out."""
+        by_path = {f"s{i}.json": row for i, row in enumerate(rows)}
+        out = tmp_path_factory.mktemp("compare") / "cmp.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "load_scenario",
+                       lambda path: SimpleNamespace(name=by_path[path][0], path=path))
+            mp.setattr(cli, "run_scenario", lambda config, workers: config.path)
+            mp.setattr(cli, "summarize", lambda path: {
+                "cumulative_infections": by_path[path][1][None],
+                "cumulative_deaths": by_path[path][2][None]})
+            assert main(["compare", "--scenarios", *by_path, "--out", str(out)]) == 0
+        assert out.read_text() == reference_compare_csv(rows)
+
     def test_stage_counts_sum_to_population(self):
         config = tiny_scenario(n=250, replications=1)
         result = run_replication(config, 0)
@@ -293,11 +465,41 @@ class TestCli:
         assert summary.exists()
         assert (tmp_path / "summary_long.csv").exists()
 
+    @pytest.mark.parametrize("content", [
+        pytest.param(f"# schema={SCHEMA}\n", id="schema line only"),
+        pytest.param("".join(GOOD_RUN.splitlines(keepends=True)[:2]), id="two lines"),
+        pytest.param(GOOD_RUN.replace("seed=7", "seed=x"), id="non-integer seed"),
+        pytest.param(GOOD_RUN.replace(" seed=7", ""), id="no seed"),
+        pytest.param(GOOD_RUN.replace(",20,", ",x190,"), id="non-integer cell"),
+        pytest.param(GOOD_RUN.replace(",21,", ",2.5,"), id="fractional cell"),
+        pytest.param(GOOD_RUN.replace(",37\n", "\n"), id="ragged row"),
+        pytest.param(GOOD_RUN.replace(",18\n", "\n").replace(",37\n", "\n"),
+                     id="every row one cell short"),
+        pytest.param("".join(GOOD_RUN.splitlines(keepends=True)[:3]),
+                     id="no data rows"),
+        pytest.param(b"\xff\xfe\x00", id="not text"),
+    ])
+    def test_bad_run_file_is_config_error(self, tmp_path, capsys, content):
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        (run_dir / "run_000.csv").write_text(GOOD_RUN)
+        bad = run_dir / "run_001.csv"
+        if isinstance(content, str):
+            bad.write_text(content)
+        else:
+            bad.write_bytes(content)
+        assert main(["summarize", "--in", str(run_dir),
+                     "--out", str(tmp_path / "summary.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {bad}: ") and err.count("\n") == 1
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for d in ({"horizon": 0}, {"horizon": "abc"}, {"horizon": 2.9},
                   {"interventions": {"quarantine": {"duration": 14.9}}},
-                  with_sections(population={"networks": {"rewire_bta": 0.9}})):
+                  with_sections(population={"networks": {"rewire_bta": 0.9}}),
+                  with_sections(progression={"edgez": []}),
+                  with_sections(population={"occupation_eligible_age_bands": [2.5]})):
             bad.write_text(json.dumps(d))
             assert main(["simulate", "--scenario", str(bad),
                          "--out", str(tmp_path / "x")]) == 1, d
