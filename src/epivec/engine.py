@@ -16,9 +16,9 @@ phase order (the reference oracle mirrors it exactly):
    budget in priority order once the start trigger has latched;
 7. bookkeeping: contact-log push, event counts, invariant checks, clock.
 
-Hazard accumulation is performed in canonical (target, source, network) edge
-order, so the gather is invariant to any permutation of the input edge list
-bit-for-bit.
+Hazard accumulation visits only edges from a live source into a susceptible
+target and sums them in canonical (target, source, network) edge order, so the
+gather is invariant to any permutation of the input edge list bit-for-bit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .interventions import ImmunityMode, InterventionConfig, ContactLog, priorit
 from .progression import ProgressionTable
 from .rng import Purpose, uniforms
 from .stages import (ACTIVE_INFECTION_STAGE, ASYMPTOMATIC_LIKE_STAGE,
-                     INFECTIOUS_STAGE, NEVER, Stage, VaccineStatus)
+                     INFECTIOUS_STAGE, N_NETWORK_KINDS, NEVER, Stage,
+                     VaccineStatus)
 from .state import AgentColumns
 from .transmission import DiseaseParams
 
@@ -64,7 +65,8 @@ class Engine:
         self.clock = 0
         self.vaccination_open = False
         self.check = check_invariants
-        self.contact_log = ContactLog(interventions.den.lookback) \
+        self.contact_log = ContactLog(interventions.den.lookback,
+                                      cols.has_den_app) \
             if interventions.den_enabled else None
         self._all_agents = np.arange(cols.n_agents, dtype=np.int64)
         self._sterilizing = (interventions.vaccine.immunity_mode
@@ -75,37 +77,38 @@ class Engine:
     def gather_exposure(self, graph: StepGraph) -> np.ndarray:
         """Summed hazard per agent; zero for everyone who cannot be infected.
 
-        Contributions are accumulated per target in (source id, network kind)
+        Only edges from a live source (infectious, not quarantined, inside
+        the infectiousness window) into a target are gathered.  Their
+        contributions are accumulated per target in (source id, network kind)
         order, making the result independent of edge-list permutation.
         """
         c = self.cols
         p = self.disease
         step = self.clock
         n = c.n_agents
-        hazard = np.zeros(n, dtype=np.float64)
-        if graph.n_edges:
-            src, dst, kind = graph.src, graph.dst, graph.kind
-            src_stage = c.stage[src]
-            t = step - c.infected_at[src].astype(np.int64)
-            valid = (INFECTIOUS_STAGE[src_stage]
-                     & (c.quarantine_until[src] <= step)
-                     & (t >= 1) & (t <= p.t_max))
-            idx = np.nonzero(valid)[0]
-            if len(idx):
-                s, d, k, tt = src[idx], dst[idx], kind[idx], t[idx]
-                order = np.lexsort((k, s, d))
-                s, d, k, tt = s[order], d[order], k[order], tt[order]
-                a = np.where(ASYMPTOMATIC_LIKE_STAGE[c.stage[s]],
-                             p.asymptomatic_factor, 1.0)
-                lam = (p.rate_scale
-                       * p.age_susceptibility[c.age_band[d]]
-                       * a
-                       * p.network_scale[k]
-                       / p.mean_daily_interactions
-                       * p.day_weights[tt])
-                hazard = np.bincount(d, weights=lam, minlength=n)
-        hazard[~self._target_mask()] = 0.0
-        return hazard
+        t = step - c.infected_at.astype(np.int64)
+        source = (INFECTIOUS_STAGE[c.stage] & (c.quarantine_until <= step)
+                  & (t >= 1) & (t <= p.t_max))
+        idx = np.flatnonzero(source.take(graph.src))
+        idx = idx[self._target_mask().take(graph.dst.take(idx))]
+        if not len(idx):
+            return np.zeros(n, dtype=np.float64)
+        s = graph.src.take(idx).astype(np.int64)
+        d = graph.dst.take(idx).astype(np.int64)
+        k = graph.kind.take(idx)
+        # one key per (target, source, kind); equal keys carry equal hazard,
+        # so an unstable sort leaves every per-target sum bit-identical
+        order = np.argsort((d * n + s) * N_NETWORK_KINDS + k)
+        s, d, k = s[order], d[order], k[order]
+        a = np.where(ASYMPTOMATIC_LIKE_STAGE[c.stage[s]],
+                     p.asymptomatic_factor, 1.0)
+        lam = (p.rate_scale
+               * p.age_susceptibility[c.age_band[d]]
+               * a
+               * p.network_scale[k]
+               / p.mean_daily_interactions
+               * p.day_weights[t[s]])
+        return np.bincount(d, weights=lam, minlength=n)
 
     def _target_mask(self) -> np.ndarray:
         c = self.cols
@@ -241,11 +244,10 @@ class Engine:
         notifiers = positives[c.has_den_app[positives]]
         if not len(notifiers) or self.contact_log is None:
             return
-        contacts = self.contact_log.contacts_of(notifiers)
+        contacts = self.contact_log.contacts_of(notifiers)   # app holders only
         if not len(contacts):
             return
-        keep = (c.has_den_app[contacts]
-                & (c.quarantine_until[contacts] <= step)
+        keep = ((c.quarantine_until[contacts] <= step)
                 & (c.stage[contacts] != int(Stage.DEAD)))
         notified = contacts[keep]
         if not len(notified):

@@ -53,8 +53,8 @@ def number(d: dict, key: str, path: str, default=None, kind=float):
     """``d[key]`` as ``kind`` (int or float), or ``default`` when it is absent.
 
     Without a default the key is required.  An absent required key, a value
-    that is not a finite number, or one that is not a whole number for an
-    int field raises a ConfigError naming ``path.key``.
+    that is not a finite number, or one that is not a whole number in the
+    int64 range for an int field raises a ConfigError naming ``path.key``.
     """
     return _finite(d.get(key, default), f"{path}.{key}" if path else key, kind)
 
@@ -74,4 +74,7 @@ def _finite(value, where: str, kind):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     if kind is int and value != int(value):
         raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+    if kind is int and not -2**63 <= value < 2**63:
+        raise ConfigError(f"{where}: expected a whole number in the int64 range, "
+                          f"got {value!r}")
     return kind(value)

@@ -158,13 +158,17 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
     vs = stubs[1::2].astype(np.int64)
     keep = us != vs
     us, vs = us[keep], vs[keep]
-    # drop duplicate undirected pairs
-    n = int(max(us.max(), vs.max())) + 1 if len(us) else 0
+    # drop duplicate undirected pairs, keeping each pair's first occurrence
     if len(us):
+        n = int(max(us.max(), vs.max())) + 1
         key = np.minimum(us, vs) * n + np.maximum(us, vs)
-        _, first = np.unique(key, return_index=True)
-        keep_idx = np.sort(first)
-        us, vs = us[keep_idx], vs[keep_idx]
+        order = np.argsort(key)
+        sorted_key = key[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], sorted_key[1:] != sorted_key[:-1])))
+        first = np.zeros(len(key), dtype=bool)
+        first[np.minimum.reduceat(order, starts)] = True
+        us, vs = us[first], vs[first]
     return us.astype(np.int32), vs.astype(np.int32)
 
 

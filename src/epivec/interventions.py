@@ -144,14 +144,21 @@ def priority_sort_key(strategy: Strategy, elderly_band: int,
 
 
 class ContactLog:
-    """Ring buffer of the last ``lookback`` steps of interaction edges."""
+    """Ring buffer of the last ``lookback`` steps of interaction edges.
 
-    def __init__(self, lookback: int):
+    Only edges whose two ends hold the app (``has_app``, read at each push)
+    are kept: no other edge can carry an exposure notification.
+    """
+
+    def __init__(self, lookback: int, has_app: np.ndarray):
         self.lookback = lookback
+        self.has_app = has_app
         self._steps: list[tuple[np.ndarray, np.ndarray]] = []
 
     def push(self, graph: StepGraph) -> None:
-        self._steps.append((graph.src, graph.dst))
+        app = self.has_app
+        keep = np.flatnonzero(app.take(graph.src) & app.take(graph.dst))
+        self._steps.append((graph.src.take(keep), graph.dst.take(keep)))
         if len(self._steps) > self.lookback:
             self._steps.pop(0)
 
@@ -159,21 +166,11 @@ class ContactLog:
         return len(self._steps)
 
     def contacts_of(self, agents: np.ndarray) -> np.ndarray:
-        """Unique ids that interacted with any of ``agents`` in the window."""
-        if not len(self._steps) or not len(agents):
-            return np.empty(0, dtype=np.int32)
-        hits = []
-        max_id = int(agents.max()) + 1
-        member = np.zeros(max_id, dtype=bool)
+        """Unique app holders that interacted with any of ``agents`` in the
+        window."""
+        member = np.zeros(len(self.has_app), dtype=bool)
         member[agents] = True
-        for src, dst in self._steps:
-            if not len(src):
-                continue
-            sel = src < max_id
-            mask = np.zeros(len(src), dtype=bool)
-            mask[sel] = member[src[sel]]
-            if mask.any():
-                hits.append(dst[mask])
+        hits = [dst[member[src]] for src, dst in self._steps]
         if not hits:
             return np.empty(0, dtype=np.int32)
         return np.unique(np.concatenate(hits)).astype(np.int32)

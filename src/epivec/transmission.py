@@ -41,15 +41,23 @@ _DISEASE_KEYS = ("schema_version", "comment", "provenance", "rate_scale",
 def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
     """Lookup table w[t] = F(t) - F(t-1) for t = 1..T_max; w[0] = 0.
 
-    T_max is the smallest day whose residual tail mass is below TAIL_EPS.
+    T_max is the smallest day whose residual tail mass is below TAIL_EPS; a
+    curve for which that day is not finite is a ConfigError.
     """
     if mean_days <= 0 or sd_days <= 0:
         raise ConfigError("infectiousness curve mean/sd must be positive, got "
                           f"mean={mean_days}, sd={sd_days}")
-    shape = (mean_days / sd_days) ** 2
-    scale = sd_days * sd_days / mean_days
-    dist = stats.gamma(shape, scale=scale)
-    t_max = int(math.ceil(dist.isf(TAIL_EPS)))
+    try:
+        shape = (mean_days / sd_days) ** 2
+        scale = sd_days * sd_days / mean_days
+        dist = stats.gamma(shape, scale=scale)
+        with np.errstate(invalid="ignore", over="ignore"):
+            t_max = int(math.ceil(dist.isf(TAIL_EPS)))
+    except (OverflowError, ValueError):   # shape or tail day overflows, or is NaN
+        raise ConfigError(
+            "disease.infectiousness_mean_days, disease.infectiousness_sd_days: "
+            f"expected a curve with a finite tail day, got mean={mean_days!r}, "
+            f"sd={sd_days!r}") from None
     t_max = max(t_max, 1)
     cdf = dist.cdf(np.arange(0, t_max + 1, dtype=np.float64))
     weights = np.diff(cdf)

@@ -5,14 +5,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epivec.engine import Engine
 from epivec.errors import InvariantViolation
 from epivec.graphs import StepGraph
-from epivec.interventions import InterventionConfig
-from epivec.stages import NEVER, NetworkKind, Stage
+from epivec.interventions import ImmunityMode, InterventionConfig, VaccinePolicy
+from epivec.stages import (ASYMPTOMATIC_LIKE_STAGE, INFECTIOUS_STAGE, N_STAGES,
+                           NEVER, NetworkKind, Stage)
 from epivec.state import AgentColumns
-from epivec.transmission import edge_hazard, infection_probability
+from epivec.transmission import DiseaseParams, edge_hazard, infection_probability
 
 from test_interventions import blank_state, empty_graph, flat_disease, simple_table
 
@@ -25,6 +27,40 @@ def star_graph(step, n_leaves):
                      np.concatenate([hub, leaves]).astype(np.int32),
                      np.concatenate([leaves, hub]).astype(np.int32),
                      np.full(2 * n_leaves, int(NetworkKind.RANDOM), dtype=np.int8))
+
+
+def reference_gather_exposure(self, graph: StepGraph) -> np.ndarray:
+    """``Engine.gather_exposure`` before it filtered edges by target, verbatim
+    (``self`` is the engine): every edge with a live source, a 3-key lexsort,
+    non-targets zeroed afterwards."""
+    c = self.cols
+    p = self.disease
+    step = self.clock
+    n = c.n_agents
+    hazard = np.zeros(n, dtype=np.float64)
+    if graph.n_edges:
+        src, dst, kind = graph.src, graph.dst, graph.kind
+        src_stage = c.stage[src]
+        t = step - c.infected_at[src].astype(np.int64)
+        valid = (INFECTIOUS_STAGE[src_stage]
+                 & (c.quarantine_until[src] <= step)
+                 & (t >= 1) & (t <= p.t_max))
+        idx = np.nonzero(valid)[0]
+        if len(idx):
+            s, d, k, tt = src[idx], dst[idx], kind[idx], t[idx]
+            order = np.lexsort((k, s, d))
+            s, d, k, tt = s[order], d[order], k[order], tt[order]
+            a = np.where(ASYMPTOMATIC_LIKE_STAGE[c.stage[s]],
+                         p.asymptomatic_factor, 1.0)
+            lam = (p.rate_scale
+                   * p.age_susceptibility[c.age_band[d]]
+                   * a
+                   * p.network_scale[k]
+                   / p.mean_daily_interactions
+                   * p.day_weights[tt])
+            hazard = np.bincount(d, weights=lam, minlength=n)
+    hazard[~self._target_mask()] = 0.0
+    return hazard
 
 
 def make_engine(cols, rate=2.0, seed=0, iv=None):
@@ -202,3 +238,76 @@ class TestConservation:
     def test_dead_is_absorbing_and_disconnected(self):
         series = self.run_small_epidemic(steps=40)
         assert series[-1, 2] > 0  # someone died through the severe path
+
+
+class TestGatherMatchesReference:
+    """The filtered gather against the unfiltered one it replaced, bit for bit."""
+
+    @staticmethod
+    def random_engine(rng, n, step, sterilizing):
+        cols = blank_state(n, ages=rng.integers(0, 9, n))
+        cols.stage[:] = np.where(rng.random(n) < 0.4, int(Stage.SUSCEPTIBLE),
+                                 rng.integers(0, N_STAGES, n))
+        cols.infected_at[:] = rng.integers(max(NEVER, step - 25), step + 1, n)
+        cols.quarantine_until[:] = np.where(rng.random(n) < 0.3,
+                                            step + rng.integers(1, 5, n),
+                                            rng.integers(NEVER, step + 1, n))
+        cols.immune[:] = rng.random(n) < 0.3
+        disease = DiseaseParams(
+            rate_scale=float(rng.uniform(0.1, 3.0)),
+            age_susceptibility=rng.uniform(0.0, 2.0, 9),
+            asymptomatic_factor=float(rng.uniform(0.0, 1.0)),
+            network_scale=rng.uniform(0.0, 3.0, 3),
+            mean_daily_interactions=float(rng.uniform(1.0, 20.0)),
+            infectiousness_mean_days=5.0,
+            infectiousness_sd_days=2.0)
+        mode = ImmunityMode.STERILIZING if sterilizing else ImmunityMode.NON_STERILIZING
+        iv = InterventionConfig(vaccine=VaccinePolicy(immunity_mode=mode))
+        engine = Engine(cols, disease, simple_table(), iv, seed=0)
+        engine.clock = step
+        return engine
+
+    @staticmethod
+    def random_graph(rng, n, step):
+        m = int(rng.integers(0, 6 * n))
+        src = rng.integers(0, n, m)
+        dst = rng.integers(0, n, m)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        kind = rng.integers(0, 3, len(src))
+        # the same (src, dst) pair under a second kind, and exact repeats
+        twin = rng.random(len(src)) < 0.2
+        same = rng.random(len(src)) < 0.05
+        src = np.concatenate([src, src[twin], src[same]])
+        dst = np.concatenate([dst, dst[twin], dst[same]])
+        kind = np.concatenate([kind, (kind[twin] + 1) % 3, kind[same]])
+        perm = rng.permutation(len(src))
+        return StepGraph(step, src[perm].astype(np.int32), dst[perm].astype(np.int32),
+                         kind[perm].astype(np.int8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 60), step=st.integers(0, 40),
+           sterilizing=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, step=0, sterilizing=True, seed=0)
+    def test_hazard_bitwise_equal(self, n, step, sterilizing, seed):
+        rng = np.random.default_rng(seed)
+        engine = self.random_engine(rng, n, step, sterilizing)
+        graph = self.random_graph(rng, n, step)
+        hazard = engine.gather_exposure(graph)
+        assert hazard.dtype == np.float64 and hazard.shape == (n,)
+        assert hazard.tobytes() == reference_gather_exposure(engine, graph).tobytes()
+
+    def test_states_exercise_every_filter(self):
+        """The random states hold quarantined live sources, non-target
+        destinations and sums over several sources."""
+        rng = np.random.default_rng(1)
+        engine = self.random_engine(rng, 60, 20, sterilizing=False)
+        graph = self.random_graph(rng, 60, 20)
+        c = engine.cols
+        infectious = INFECTIOUS_STAGE[c.stage[graph.src]]
+        assert np.any(infectious & (c.quarantine_until[graph.src] > 20))
+        assert np.any(infectious & ~engine._target_mask()[graph.dst])
+        assert np.any(c.immune & (c.stage == int(Stage.SUSCEPTIBLE)))
+        assert engine.disease.t_max < 25   # some sources are past the window
+        hazard = engine.gather_exposure(graph)
+        assert np.count_nonzero(hazard) > 5

@@ -90,6 +90,41 @@ def loop_watts_strogatz(n_nodes: int, k: int, beta: float,
     return us, vs
 
 
+def unique_stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: ``stub_pairing`` with the ``np.unique`` dedupe it replaced.
+
+    Configuration-model pairing honoring fractional degrees in expectation.
+
+    Each agent contributes floor(d) stubs plus one more with probability
+    frac(d); shuffled stubs are paired off, dropping self-pairs and duplicate
+    pairs (rare for large populations).
+    """
+    base = np.floor(target_degrees).astype(np.int64)
+    frac = target_degrees - base
+    extra = rng.random(len(agents)) < frac
+    counts = base + extra
+    stubs = np.repeat(agents, counts)
+    if len(stubs) < 2:
+        empty = np.empty(0, dtype=np.int32)
+        return empty, empty.copy()
+    stubs = rng.permutation(stubs)
+    if len(stubs) % 2:
+        stubs = stubs[:-1]
+    us = stubs[0::2].astype(np.int64)
+    vs = stubs[1::2].astype(np.int64)
+    keep = us != vs
+    us, vs = us[keep], vs[keep]
+    # drop duplicate undirected pairs
+    n = int(max(us.max(), vs.max())) + 1 if len(us) else 0
+    if len(us):
+        key = np.minimum(us, vs) * n + np.maximum(us, vs)
+        _, first = np.unique(key, return_index=True)
+        keep_idx = np.sort(first)
+        us, vs = us[keep_idx], vs[keep_idx]
+    return us.astype(np.int32), vs.astype(np.int32)
+
+
 class TestHouseholds:
     def test_sizes_three_and_two(self):
         hh = np.array([0, 0, 0, 1, 1])
@@ -218,6 +253,31 @@ class TestStubPairing:
         assert not np.any(us == vs)
         key = np.minimum(us, vs) * 300 + np.maximum(us, vs)
         assert len(np.unique(key)) == len(key)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(degrees=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12),
+           stride=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(degrees=[4.0] * 6, stride=1, seed=0)   # 11 pairs, 3 of them repeats
+    def test_dedupe_matches_unique_reference(self, degrees, stride, seed):
+        agents = (np.arange(len(degrees)) * stride).astype(np.int32)
+        targets = np.array(degrees)
+        us, vs = stub_pairing(agents, targets, np.random.default_rng(seed))
+        ref_us, ref_vs = unique_stub_pairing(agents, targets,
+                                             np.random.default_rng(seed))
+        assert us.dtype == vs.dtype == np.int32
+        assert us.tobytes() == ref_us.tobytes() and vs.tobytes() == ref_vs.tobytes()
+
+    def test_pinned_seed_has_repeated_pairs(self):
+        rng = np.random.default_rng(0)
+        rng.random(6)                     # the fractional-stub draws
+        stubs = rng.permutation(np.repeat(np.arange(6), 4))
+        pairs = {(min(u, v), max(u, v)) for u, v in zip(stubs[0::2], stubs[1::2])
+                 if u != v}
+        n_pairs = int(np.count_nonzero(stubs[0::2] != stubs[1::2]))
+        us, _ = stub_pairing(np.arange(6, dtype=np.int32), np.full(6, 4.0),
+                             np.random.default_rng(0))
+        assert len(us) == len(pairs) < n_pairs
 
 
 def make_realizer(household_id, occupation, random_degree, occ_means=None,

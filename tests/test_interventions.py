@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epivec.engine import Engine
 from epivec.errors import ConfigError
@@ -282,11 +283,76 @@ class TestExposureNotification:
         assert cols.test_sample_at[1] == 6
 
     def test_contact_log_eviction(self):
-        log = ContactLog(lookback=3)
+        log = ContactLog(lookback=3, has_app=np.ones(2, dtype=bool))
         for step in range(5):
             g = pair_graph(step, 0, 1)
             log.push(g)
             assert len(log) == min(3, step + 1)
+
+
+class ReferenceContactLog:
+    """The contact log before it kept only app-holder pairs, verbatim: every
+    edge of the window, rescanned on each query."""
+
+    def __init__(self, lookback: int):
+        self.lookback = lookback
+        self._steps: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def push(self, graph: StepGraph) -> None:
+        self._steps.append((graph.src, graph.dst))
+        if len(self._steps) > self.lookback:
+            self._steps.pop(0)
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def contacts_of(self, agents: np.ndarray) -> np.ndarray:
+        """Unique ids that interacted with any of ``agents`` in the window."""
+        if not len(self._steps) or not len(agents):
+            return np.empty(0, dtype=np.int32)
+        hits = []
+        max_id = int(agents.max()) + 1
+        member = np.zeros(max_id, dtype=bool)
+        member[agents] = True
+        for src, dst in self._steps:
+            if not len(src):
+                continue
+            sel = src < max_id
+            mask = np.zeros(len(src), dtype=bool)
+            mask[sel] = member[src[sel]]
+            if mask.any():
+                hits.append(dst[mask])
+        if not hits:
+            return np.empty(0, dtype=np.int32)
+        return np.unique(np.concatenate(hits)).astype(np.int32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 30), lookback=st.integers(1, 4),
+       adoption=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_contact_log_keeps_what_a_notification_can_reach(n, lookback, adoption, seed):
+    """Contacts of app holders equal the full log's contacts that hold the
+    app, and no query ever returns an agent without the app."""
+    rng = np.random.default_rng(seed)
+    has_app = rng.random(n) < adoption
+    log, full = ContactLog(lookback, has_app), ReferenceContactLog(lookback)
+    for step in range(lookback + 3):
+        m = int(rng.integers(0, 4 * n))
+        src = rng.integers(0, n, m).astype(np.int32)
+        dst = rng.integers(0, n, m).astype(np.int32)
+        keep = src != dst
+        graph = StepGraph(step, src[keep], dst[keep],
+                          rng.integers(0, 3, int(keep.sum())).astype(np.int8))
+        log.push(graph)
+        full.push(graph)
+        assert len(log) == len(full)
+        agents = np.flatnonzero(rng.random(n) < 0.4)
+        contacts = log.contacts_of(agents)
+        assert contacts.dtype == np.int32 and has_app[contacts].all()
+        notifiers = agents[has_app[agents]]
+        expected = full.contacts_of(notifiers)
+        assert np.array_equal(log.contacts_of(notifiers), expected[has_app[expected]])
 
 
 class TestVaccination:

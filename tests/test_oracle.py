@@ -6,13 +6,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epivec.engine import Engine
 from epivec.graphs import StepGraph
-from epivec.interventions import InterventionConfig
+from epivec.interventions import STRATEGY_BY_NAME, TEST_KINDS, InterventionConfig
 from epivec.oracle import OracleSim, agents_from_columns
-from epivec.runner import bench, replication_seed, verify_equivalence
-from epivec.scenario import default_population_dict, scenario_from_dict
+from epivec.runner import bench, replication_seed, run_replication, verify_equivalence
+from epivec.scenario import (default_disease_dict, default_population_dict,
+                             scenario_from_dict)
 from epivec.stages import NetworkKind, Stage
 from epivec.errors import VerificationDivergence
 
@@ -73,6 +75,98 @@ class TestReplayEquivalence:
                             "dose2_latency": 1,
                             "immunity_mode": "non-sterilizing"}})
         assert verify_equivalence(config) == config.horizon
+
+
+def differential_scenario(n, horizon, infections, seed, rate, interventions):
+    pop = default_population_dict()
+    pop["n_agents"] = n
+    disease = default_disease_dict()
+    disease["rate_scale"] *= rate
+    return scenario_from_dict({
+        "population": pop, "disease": disease, "horizon": horizon,
+        "replications": 1, "base_seed": seed,
+        "initial_infections": min(infections, n), "interventions": interventions,
+    }, name="differential")
+
+
+@st.composite
+def intervention_blocks(draw):
+    testing = draw(st.booleans())
+    return {
+        "quarantine": {"enabled": draw(st.booleans()),
+                       "duration": draw(st.integers(1, 20)),
+                       "dropout_prob": draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))},
+        "testing": {"enabled": testing,
+                    "kind": draw(st.sampled_from(sorted(TEST_KINDS))),
+                    "false_positive_prob": draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))},
+        "den": {"enabled": testing and draw(st.booleans()),
+                "app_adoption": draw(st.sampled_from([0.0, 0.3, 1.0])),
+                "compliance_prob": draw(st.floats(0.0, 1.0)),
+                "lookback": draw(st.integers(1, 8))},
+        "vaccination": {
+            "enabled": draw(st.booleans()),
+            "strategy": draw(st.sampled_from(sorted(STRATEGY_BY_NAME))),
+            "immunity_mode": draw(st.sampled_from(["sterilizing", "non-sterilizing"])),
+            "dose1_efficacy": draw(st.floats(0.0, 1.0)),
+            "dose2_efficacy": draw(st.floats(0.0, 1.0)),
+            "dose1_latency": draw(st.integers(0, 14)),
+            "dose2_latency": draw(st.integers(0, 3)),
+            "dose_gap": draw(st.integers(1, 21)),
+            "daily_rate": draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])),
+            "start_trigger": draw(st.sampled_from([0.0, 0.01, 0.05])),
+            "elderly_band": draw(st.integers(0, 8))},
+    }
+
+
+# Two corners pinned: zero latencies, lookback 1 and an empty contact-log mask;
+# a full mask with frequent false positives.
+ZERO_LATENCY = {
+    "quarantine": {"enabled": True, "duration": 3, "dropout_prob": 0.5},
+    "testing": {"enabled": True, "kind": "rapid-poc", "false_positive_prob": 0.02},
+    "den": {"enabled": True, "app_adoption": 0.0, "compliance_prob": 1.0,
+            "lookback": 1},
+    "vaccination": {"enabled": True, "strategy": "delayed-except-elderly",
+                    "immunity_mode": "non-sterilizing", "dose1_latency": 0,
+                    "dose2_latency": 0, "dose_gap": 1, "daily_rate": 0.1,
+                    "start_trigger": 0.0},
+}
+FULL_APP = {
+    "quarantine": {"enabled": True},
+    "testing": {"enabled": True, "kind": "rt-pcr", "false_positive_prob": 0.3},
+    "den": {"enabled": True, "app_adoption": 1.0, "lookback": 7},
+    "vaccination": {"enabled": True, "strategy": "delayed", "daily_rate": 0.01,
+                    "start_trigger": 0.0},
+}
+
+
+class TestDifferentialConfigSpace:
+    """Engine/oracle replay over random intervention configs, tiny and
+    degenerate populations included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), horizon=st.integers(1, 30),
+           infections=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           rate=st.sampled_from([1.0, 3.0]), interventions=intervention_blocks())
+    @example(n=120, horizon=30, infections=10, seed=3, rate=3.0,
+             interventions=ZERO_LATENCY)
+    @example(n=200, horizon=30, infections=10, seed=4, rate=3.0,
+             interventions=FULL_APP)
+    @example(n=2, horizon=5, infections=1, seed=0, rate=1.0, interventions=FULL_APP)
+    def test_engine_matches_oracle(self, n, horizon, infections, seed, rate,
+                                   interventions):
+        config = differential_scenario(n, horizon, infections, seed, rate,
+                                       interventions)
+        assert verify_equivalence(config) == horizon
+
+    @pytest.mark.parametrize("n, seed, interventions, notified", [
+        (120, 3, ZERO_LATENCY, False), (200, 4, FULL_APP, True)])
+    def test_pinned_corners_reach_every_phase(self, n, seed, interventions,
+                                              notified):
+        config = differential_scenario(n, 30, 10, seed, 3.0, interventions)
+        result = run_replication(config, 0)
+        for column in ("tests_administered", "doses_given"):
+            assert result.column(column).sum() > 0, column
+        assert (result.column("notifications_sent").sum() > 0) == notified
 
 
 class TestIndependentEdgesMode:

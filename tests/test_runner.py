@@ -263,6 +263,18 @@ class TestScenarioLoading:
          "population.random_degree_by_age[8]", "a number"),
         ({"population": {"networks": {"occupation_mean_interactions": "eight"}}},
          "population.networks.occupation_mean_interactions", "a list"),
+        ({"population": {"household_size_distribution": {
+            "sizes": [1, 1e308], "probabilities": [0.5, 0.5]}}},
+         "population.household_size_distribution.sizes[1]",
+         "a whole number in the int64 range"),
+        ({"horizon": 2**63}, "horizon", "a whole number in the int64 range"),
+        ({"base_seed": -1e19}, "base_seed", "a whole number in the int64 range"),
+        ({"disease": {"infectiousness_sd_days": 1e308}},
+         "disease.infectiousness_mean_days, disease.infectiousness_sd_days",
+         "a curve with a finite tail day"),
+        ({"disease": {"infectiousness_mean_days": 1e308}},
+         "disease.infectiousness_mean_days, disease.infectiousness_sd_days",
+         "a curve with a finite tail day"),
     ])
     def test_bad_scalar_rejected(self, d, path, problem):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected {problem},"):
@@ -499,7 +511,10 @@ class TestCli:
                   {"interventions": {"quarantine": {"duration": 14.9}}},
                   with_sections(population={"networks": {"rewire_bta": 0.9}}),
                   with_sections(progression={"edgez": []}),
-                  with_sections(population={"occupation_eligible_age_bands": [2.5]})):
+                  with_sections(population={"occupation_eligible_age_bands": [2.5]}),
+                  with_sections(population={"household_size_distribution": {
+                      "sizes": [1, 1e308], "probabilities": [0.5, 0.5]}}),
+                  with_sections(disease={"infectiousness_sd_days": 1e308})):
             bad.write_text(json.dumps(d))
             assert main(["simulate", "--scenario", str(bad),
                          "--out", str(tmp_path / "x")]) == 1, d
