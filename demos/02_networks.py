@@ -21,7 +21,7 @@ realizer = GraphRealizer(7, cols.household_id, cols.occupation,
                          spec.rewire_beta)
 dead = np.zeros(cols.n_agents, dtype=bool)
 
-print("=== per-step union graph ===")
+print("=== per-step graph, one edge block per network kind ===")
 for step in range(3):
     g = realizer.realize(step, dead)
     counts = g.kind_counts()

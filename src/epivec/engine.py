@@ -3,7 +3,7 @@
 One ``step(graph)`` call advances the population by one day through a pinned
 phase order (the reference oracle mirrors it exactly):
 
-1. transmission: gather per-agent hazard over the edge list, one aggregate
+1. transmission: gather per-agent hazard over the edge blocks, one aggregate
    infection draw per susceptible agent, entry-stage assignment, progression
    scheduling for the newly infected;
 2. progression: fire transitions due this step, schedule onward transitions;
@@ -17,8 +17,9 @@ phase order (the reference oracle mirrors it exactly):
 7. bookkeeping: contact-log push, event counts, invariant checks, clock.
 
 Hazard accumulation visits only edges from a live source into a susceptible
-target and sums them in canonical (target, source, network) edge order, so the
-gather is invariant to any permutation of the input edge list bit-for-bit.
+target, one network block at a time, and sums them in canonical (target,
+source, network) edge order, so the gather is invariant to any permutation of
+the edges inside a block bit-for-bit.
 """
 
 from __future__ import annotations
@@ -89,17 +90,20 @@ class Engine:
         t = step - c.infected_at.astype(np.int64)
         source = (INFECTIOUS_STAGE[c.stage] & (c.quarantine_until <= step)
                   & (t >= 1) & (t <= p.t_max))
-        idx = np.flatnonzero(source.take(graph.src))
-        idx = idx[self._target_mask().take(graph.dst.take(idx))]
-        if not len(idx):
-            return np.zeros(n, dtype=np.float64)
-        s = graph.src.take(idx).astype(np.int64)
-        d = graph.dst.take(idx).astype(np.int64)
-        k = graph.kind.take(idx)
+        target = self._target_mask()
+        keys = []
+        for kind, (src, dst) in enumerate(graph.blocks):
+            idx = np.flatnonzero(source.take(src))
+            idx = idx[target.take(dst.take(idx))]
+            keys.append((dst.take(idx).astype(np.int64) * n + src.take(idx))
+                        * N_NETWORK_KINDS + kind)
         # one key per (target, source, kind); equal keys carry equal hazard,
-        # so an unstable sort leaves every per-target sum bit-identical
-        order = np.argsort((d * n + s) * N_NETWORK_KINDS + k)
-        s, d, k = s[order], d[order], k[order]
+        # so sorting the keys alone leaves every per-target sum bit-identical
+        key = np.sort(np.concatenate(keys))
+        if not len(key):
+            return np.zeros(n, dtype=np.float64)
+        k = key % N_NETWORK_KINDS
+        d, s = np.divmod(key // N_NETWORK_KINDS, n)
         a = np.where(ASYMPTOMATIC_LIKE_STAGE[c.stage[s]],
                      p.asymptomatic_factor, 1.0)
         lam = (p.rate_scale
@@ -125,12 +129,14 @@ class Engine:
         if graph.step != step:
             raise InvariantViolation(
                 f"graph built for step {graph.step}, engine clock is {step}")
-        if graph.n_edges:
-            top = max(int(graph.src.max()), int(graph.dst.max()))
+        for src, dst in graph.blocks:
+            if not len(src):
+                continue
+            top = max(int(src.max()), int(dst.max()))
             if top >= c.n_agents:
                 raise InvariantViolation(
                     f"graph references agent {top} >= n_agents {c.n_agents}")
-            if np.any(graph.src == graph.dst):
+            if np.any(src == dst):
                 raise InvariantViolation("graph contains a self-loop")
         ev = StepEvents(step=step, n_edges=graph.n_edges)
 

@@ -1,6 +1,6 @@
 """Interaction-network construction.
 
-Three network families are realized each step and merged into one edge list:
+Three network families are realized each step, each into its own edge block:
 
 * households: complete graphs, fixed for the whole run;
 * occupations: one small-world graph per occupation, membership fixed but
@@ -13,7 +13,7 @@ Three network families are realized each step and merged into one edge list:
 Undirected interactions are stored as two directed edges so that the
 transmission gather can treat every edge as (source candidate -> target).
 Dead agents appear in no network; quarantined and hospitalized agents stay in
-the edge list and are silenced by the transmission pass instead.
+the edge blocks and are silenced by the transmission pass instead.
 """
 
 from __future__ import annotations
@@ -24,63 +24,47 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .rng import Purpose, substream
-from .stages import NetworkKind
 
 
 @dataclass
 class StepGraph:
-    """Union edge list of one step's interactions, tagged by network kind."""
+    """One step's interactions: an int32 ``(src, dst)`` edge block per network
+    kind, in ``NetworkKind`` order, like a per-edge-type ``edge_index``."""
 
     step: int
-    src: np.ndarray    # int32 agent indices (infector candidate)
-    dst: np.ndarray    # int32 agent indices (susceptible candidate)
-    kind: np.ndarray   # int8 NetworkKind values
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def src(self) -> np.ndarray:
+        """Sources of every block, concatenated in kind order (a new array)."""
+        return np.concatenate([src for src, _ in self.blocks])
 
     @property
     def n_edges(self) -> int:
-        return len(self.src)
+        return sum(len(src) for src, _ in self.blocks)
 
     def kind_counts(self) -> np.ndarray:
-        return np.bincount(self.kind, minlength=3)
-
-    @classmethod
-    def empty(cls, step: int) -> "StepGraph":
-        return cls(step,
-                   np.empty(0, dtype=np.int32),
-                   np.empty(0, dtype=np.int32),
-                   np.empty(0, dtype=np.int8))
+        return np.array([len(src) for src, _ in self.blocks])
 
 
 def build_households(household_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Directed edge arrays for complete per-household graphs.
 
     Households of size one contribute no edges; a household of size m
-    contributes m*(m-1) directed edges.
+    contributes m*(m-1) directed edges, in (household id, source, target
+    index) order.
     """
     order = np.argsort(household_id, kind="stable")
-    sorted_ids = household_id[order]
-    boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-    groups = np.split(order, boundaries)
-    src_parts, dst_parts = [], []
-    for members in groups:
-        m = len(members)
-        if m < 2:
-            continue
-        src_parts.append(np.repeat(members, m - 1))
-        dst_parts.append(_all_others(members))
-    if not src_parts:
-        empty = np.empty(0, dtype=np.int32)
-        return empty, empty.copy()
-    return (np.concatenate(src_parts).astype(np.int32),
-            np.concatenate(dst_parts).astype(np.int32))
-
-
-def _all_others(members: np.ndarray) -> np.ndarray:
-    """For each member, all other members, flattened (complete-graph targets)."""
-    m = len(members)
-    tiled = np.broadcast_to(members, (m, m))
-    mask = ~np.eye(m, dtype=bool)
-    return tiled[mask]
+    _, start, size = np.unique(household_id[order], return_index=True,
+                               return_counts=True)
+    per = size * (size - 1)
+    first = np.repeat(start, per)
+    # edge e of a household is (row, col) = divmod(e, m - 1) of its m x (m - 1)
+    # table of member pairs; col skips the diagonal
+    row, col = np.divmod(np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per),
+                         np.repeat(size - 1, per))
+    return (order[first + row].astype(np.int32),
+            order[first + col + (col >= row)].astype(np.int32))
 
 
 def watts_strogatz(n_nodes: int, k: int, beta: float,
@@ -131,8 +115,8 @@ def watts_strogatz(n_nodes: int, k: int, beta: float,
 
 def undirected_to_directed(us: np.ndarray, vs: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
-    return (np.concatenate([us, vs]).astype(np.int32),
-            np.concatenate([vs, us]).astype(np.int32))
+    return (np.concatenate([us, vs], dtype=np.int32),
+            np.concatenate([vs, us], dtype=np.int32))
 
 
 def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
@@ -154,14 +138,13 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
     stubs = rng.permutation(stubs)
     if len(stubs) % 2:
         stubs = stubs[:-1]
-    us = stubs[0::2].astype(np.int64)
-    vs = stubs[1::2].astype(np.int64)
+    us, vs = stubs[0::2], stubs[1::2]
     keep = us != vs
     us, vs = us[keep], vs[keep]
     # drop duplicate undirected pairs, keeping each pair's first occurrence
     if len(us):
         n = int(max(us.max(), vs.max())) + 1
-        key = np.minimum(us, vs) * n + np.maximum(us, vs)
+        key = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
         order = np.argsort(key)
         sorted_key = key[order]
         starts = np.flatnonzero(np.concatenate(
@@ -169,7 +152,7 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
         first = np.zeros(len(key), dtype=bool)
         first[np.minimum.reduceat(order, starts)] = True
         us, vs = us[first], vs[first]
-    return us.astype(np.int32), vs.astype(np.int32)
+    return us.astype(np.int32, copy=False), vs.astype(np.int32, copy=False)
 
 
 def round_to_even(x: float) -> int:
@@ -178,7 +161,7 @@ def round_to_even(x: float) -> int:
 
 
 class GraphRealizer:
-    """Rebuilds the per-step union graph for one replication.
+    """Rebuilds the per-step edge blocks for one replication.
 
     Construction is a pure function of (replication seed, step, dead mask),
     so any two simulations holding identical state realize identical graphs.
@@ -202,15 +185,11 @@ class GraphRealizer:
         self.rewire_beta = float(rewire_beta)
 
     def realize(self, step: int, dead: np.ndarray) -> StepGraph:
-        src_parts, dst_parts, kind_parts = [], [], []
+        alive = ~(dead[self.hh_src] | dead[self.hh_dst])
+        household = (self.hh_src[alive], self.hh_dst[alive])
 
-        if len(self.hh_src):
-            alive = ~(dead[self.hh_src] | dead[self.hh_dst])
-            s, d = self.hh_src[alive], self.hh_dst[alive]
-            src_parts.append(s)
-            dst_parts.append(d)
-            kind_parts.append(np.full(len(s), int(NetworkKind.HOUSEHOLD), dtype=np.int8))
-
+        empty = np.empty(0, dtype=np.int32)   # for steps with no occupation graph
+        us_parts, vs_parts = [empty], [empty]
         for j, members in self.occ_members.items():
             live = members[~dead[members]]
             m = len(live)
@@ -219,26 +198,17 @@ class GraphRealizer:
                 continue
             rng = substream(self.seed, Purpose.GRAPH_OCCUPATION, step, int(j))
             us, vs = watts_strogatz(m, k, self.rewire_beta, rng)
-            s, d = undirected_to_directed(live[us], live[vs])
-            src_parts.append(s)
-            dst_parts.append(d)
-            kind_parts.append(np.full(len(s), int(NetworkKind.OCCUPATION), dtype=np.int8))
+            us_parts.append(live[us])
+            vs_parts.append(live[vs])
+        occupation = undirected_to_directed(np.concatenate(us_parts),
+                                            np.concatenate(vs_parts))
 
-        live_agents = np.nonzero(~dead)[0].astype(np.int32)
-        if len(live_agents) >= 2:
-            rng = substream(self.seed, Purpose.GRAPH_RANDOM, step)
-            us, vs = stub_pairing(live_agents, self.random_degree[live_agents], rng)
-            s, d = undirected_to_directed(us, vs)
-            src_parts.append(s)
-            dst_parts.append(d)
-            kind_parts.append(np.full(len(s), int(NetworkKind.RANDOM), dtype=np.int8))
+        live_agents = np.flatnonzero(~dead).astype(np.int32)
+        rng = substream(self.seed, Purpose.GRAPH_RANDOM, step)
+        random = undirected_to_directed(
+            *stub_pairing(live_agents, self.random_degree[live_agents], rng))
 
-        if not src_parts:
-            return StepGraph.empty(step)
-        graph = StepGraph(step,
-                          np.concatenate(src_parts),
-                          np.concatenate(dst_parts),
-                          np.concatenate(kind_parts))
-        if len(graph.src) and np.any(graph.src == graph.dst):
+        blocks = (household, occupation, random)   # NetworkKind order
+        if any(np.any(src == dst) for src, dst in blocks):
             raise InvariantViolation("graph realization produced a self-loop")
-        return graph
+        return StepGraph(step, blocks)

@@ -144,7 +144,7 @@ def priority_sort_key(strategy: Strategy, elderly_band: int,
 
 
 class ContactLog:
-    """Ring buffer of the last ``lookback`` steps of interaction edges.
+    """Ring buffer of the last ``lookback`` steps of interaction edge blocks.
 
     Only edges whose two ends hold the app (``has_app``, read at each push)
     are kept: no other edge can carry an exposure notification.
@@ -153,12 +153,15 @@ class ContactLog:
     def __init__(self, lookback: int, has_app: np.ndarray):
         self.lookback = lookback
         self.has_app = has_app
-        self._steps: list[tuple[np.ndarray, np.ndarray]] = []
+        self._steps: list[list[tuple[np.ndarray, np.ndarray]]] = []
 
     def push(self, graph: StepGraph) -> None:
         app = self.has_app
-        keep = np.flatnonzero(app.take(graph.src) & app.take(graph.dst))
-        self._steps.append((graph.src.take(keep), graph.dst.take(keep)))
+        kept = []
+        for src, dst in graph.blocks:
+            keep = np.flatnonzero(app.take(src) & app.take(dst))
+            kept.append((src.take(keep), dst.take(keep)))
+        self._steps.append(kept)
         if len(self._steps) > self.lookback:
             self._steps.pop(0)
 
@@ -170,7 +173,7 @@ class ContactLog:
         window."""
         member = np.zeros(len(self.has_app), dtype=bool)
         member[agents] = True
-        hits = [dst[member[src]] for src, dst in self._steps]
+        hits = [dst[member[src]] for blocks in self._steps for src, dst in blocks]
         if not hits:
             return np.empty(0, dtype=np.int32)
         return np.unique(np.concatenate(hits)).astype(np.int32)

@@ -126,21 +126,21 @@ class OracleSim:
     def _incident_hazards(self, graph: StepGraph, step: int):
         """Per-target lists of (source id, kind, hazard), one edge at a time."""
         incoming: dict[int, list[tuple[int, int, float]]] = {}
-        for e in range(graph.n_edges):
-            s = int(graph.src[e])
-            d = int(graph.dst[e])
-            kind = int(graph.kind[e])
-            src = self.agents[s]
-            if not INFECTIOUS_STAGE[src.stage]:
-                continue
-            if src.quarantined(step):
-                continue
-            t = step - src.infected_at
-            lam = edge_hazard(t, bool(ASYMPTOMATIC_LIKE_STAGE[src.stage]),
-                              self.agents[d].age_band, kind, self.disease)
-            if lam == 0.0:
-                continue
-            incoming.setdefault(d, []).append((s, kind, lam))
+        for kind, (srcs, dsts) in enumerate(graph.blocks):
+            for e in range(len(srcs)):
+                s = int(srcs[e])
+                d = int(dsts[e])
+                src = self.agents[s]
+                if not INFECTIOUS_STAGE[src.stage]:
+                    continue
+                if src.quarantined(step):
+                    continue
+                t = step - src.infected_at
+                lam = edge_hazard(t, bool(ASYMPTOMATIC_LIKE_STAGE[src.stage]),
+                                  self.agents[d].age_band, kind, self.disease)
+                if lam == 0.0:
+                    continue
+                incoming.setdefault(d, []).append((s, kind, lam))
         return incoming
 
     # -- the step ----------------------------------------------------------
@@ -162,8 +162,8 @@ class OracleSim:
             self._vaccination(step)
 
         if self.iv.den_enabled:
-            edges = [(int(graph.src[e]), int(graph.dst[e]))
-                     for e in range(graph.n_edges)]
+            edges = [(int(srcs[e]), int(dsts[e]))
+                     for srcs, dsts in graph.blocks for e in range(len(srcs))]
             self.contact_history.append(edges)
             if len(self.contact_history) > self.iv.den.lookback:
                 self.contact_history.pop(0)

@@ -105,7 +105,8 @@ class PopulationSpec:
             occupation_mean_interactions=number_list(
                 networks, "occupation_mean_interactions", "population.networks",
                 [8.0] * N_OCCUPATIONS),
-            rewire_beta=number(networks, "rewire_beta", "population.networks", 0.1),
+            rewire_beta=number(networks, "rewire_beta", "population.networks",
+                               cls.rewire_beta),
         )
 
 

@@ -119,33 +119,38 @@ def _interventions_from_dict(d: dict) -> InterventionConfig:
         raise ConfigError(f"interventions.vaccination.immunity_mode: unknown mode "
                           f"{mode_name!r}")
 
+    base = InterventionConfig()
     return InterventionConfig(
         quarantine_enabled=_enabled(q, "interventions.quarantine"),
-        quarantine_duration=number(q, "duration", "interventions.quarantine", 14, int),
-        quarantine_dropout=number(q, "dropout_prob", "interventions.quarantine", 0.05),
+        **_numbers(q, "interventions.quarantine", base,
+                   quarantine_duration="duration", quarantine_dropout="dropout_prob"),
         testing_enabled=_enabled(t, "interventions.testing"),
         test_kind=TEST_KINDS[kind_name],
-        false_positive_prob=number(t, "false_positive_prob", "interventions.testing", 0.0),
+        **_numbers(t, "interventions.testing", base, "false_positive_prob"),
         den_enabled=_enabled(den, "interventions.den"),
-        den=DenConfig(
-            app_adoption=number(den, "app_adoption", "interventions.den", 0.3),
-            compliance_prob=number(den, "compliance_prob", "interventions.den", 0.8),
-            lookback=number(den, "lookback", "interventions.den", 7, int),
-        ),
+        den=DenConfig(**_numbers(den, "interventions.den", base.den,
+                                 "app_adoption", "compliance_prob", "lookback")),
         vaccination_enabled=_enabled(vax, "interventions.vaccination"),
         vaccine=VaccinePolicy(
             strategy=STRATEGY_BY_NAME[strategy_name],
-            dose1_efficacy=number(vax, "dose1_efficacy", "interventions.vaccination", 0.8),
-            dose2_efficacy=number(vax, "dose2_efficacy", "interventions.vaccination", 0.95),
-            dose1_latency=number(vax, "dose1_latency", "interventions.vaccination", 12, int),
-            dose2_latency=number(vax, "dose2_latency", "interventions.vaccination", 0, int),
-            dose_gap=number(vax, "dose_gap", "interventions.vaccination", 21, int),
-            daily_rate=number(vax, "daily_rate", "interventions.vaccination", 0.003),
-            start_trigger=number(vax, "start_trigger", "interventions.vaccination", 0.01),
             immunity_mode=modes[mode_name],
-            elderly_band=number(vax, "elderly_band", "interventions.vaccination", 6, int),
+            **_numbers(vax, "interventions.vaccination", base.vaccine,
+                       "dose1_efficacy", "dose2_efficacy", "dose1_latency",
+                       "dose2_latency", "dose_gap", "daily_rate", "start_trigger",
+                       "elderly_band"),
         ),
     )
+
+
+def _numbers(block: dict, path: str, default, *same, **renamed) -> dict:
+    """Keyword arguments read from ``block``: fields named in ``same`` sit under
+    their own key, ``renamed`` maps a field to its key; each is typed like, and
+    defaults to, its value on ``default`` (an instance or a dataclass)."""
+    out = {}
+    for name, key in {**dict(zip(same, same)), **renamed}.items():
+        value = getattr(default, name)
+        out[name] = number(block, key, path, value, type(value))
+    return out
 
 
 def scenario_from_dict(d: dict, base_dir: Path | str = ".",
@@ -171,10 +176,8 @@ def scenario_from_dict(d: dict, base_dir: Path | str = ".",
         disease=disease,
         progression=progression,
         interventions=interventions,
-        horizon=number(d, "horizon", "", 180, int),
-        replications=number(d, "replications", "", 15, int),
-        base_seed=number(d, "base_seed", "", 0, int),
-        initial_infections=number(d, "initial_infections", "", 10, int),
+        **_numbers(d, "", ScenarioConfig, "horizon", "replications", "base_seed",
+                   "initial_infections"),
     )
 
 

@@ -31,6 +31,7 @@ from .errors import ConfigError, checked, number, number_list
 from .stages import N_AGE_BANDS, N_NETWORK_KINDS, NetworkKind
 
 TAIL_EPS = 1e-6
+MAX_TAIL_DAY = 3650   # ten years; mean = sd = 100 days ends on day 1,382
 _NETWORK_NAMES = tuple(kind.name.lower() for kind in NetworkKind)
 _DISEASE_KEYS = ("schema_version", "comment", "provenance", "rate_scale",
                  "age_susceptibility", "asymptomatic_factor", "network_scale",
@@ -42,7 +43,8 @@ def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
     """Lookup table w[t] = F(t) - F(t-1) for t = 1..T_max; w[0] = 0.
 
     T_max is the smallest day whose residual tail mass is below TAIL_EPS; a
-    curve for which that day is not finite is a ConfigError.
+    curve for which that day is not finite or exceeds MAX_TAIL_DAY is a
+    ConfigError, raised before the table is allocated.
     """
     if mean_days <= 0 or sd_days <= 0:
         raise ConfigError("infectiousness curve mean/sd must be positive, got "
@@ -58,6 +60,11 @@ def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
             "disease.infectiousness_mean_days, disease.infectiousness_sd_days: "
             f"expected a curve with a finite tail day, got mean={mean_days!r}, "
             f"sd={sd_days!r}") from None
+    if t_max > MAX_TAIL_DAY:
+        raise ConfigError(
+            "disease.infectiousness_mean_days, disease.infectiousness_sd_days: expected "
+            f"a curve whose tail day is at most {MAX_TAIL_DAY}, got day {t_max} for "
+            f"mean={mean_days!r}, sd={sd_days!r}")
     t_max = max(t_max, 1)
     cdf = dist.cdf(np.arange(0, t_max + 1, dtype=np.float64))
     weights = np.diff(cdf)

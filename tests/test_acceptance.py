@@ -17,7 +17,7 @@ from scipy import integrate, stats
 
 import epivec
 from epivec.engine import Engine
-from epivec.graphs import StepGraph, watts_strogatz
+from epivec.graphs import watts_strogatz
 from epivec.interventions import InterventionConfig, Strategy, priority_sort_key
 from epivec.rng import Purpose, uniforms
 from epivec.runner import (bench, run_replication, run_scenario,

@@ -16,30 +16,31 @@ from epivec.stages import (ASYMPTOMATIC_LIKE_STAGE, INFECTIOUS_STAGE, N_STAGES,
 from epivec.state import AgentColumns
 from epivec.transmission import DiseaseParams, edge_hazard, infection_probability
 
-from test_interventions import blank_state, empty_graph, flat_disease, simple_table
+from test_interventions import (blank_state, empty_graph, flat_disease, flat_edges,
+                                simple_table, step_graph)
 
 
 def star_graph(step, n_leaves):
     """Center agent 0 joined to each leaf, both directions."""
     leaves = np.arange(1, n_leaves + 1, dtype=np.int32)
     hub = np.zeros(n_leaves, dtype=np.int32)
-    return StepGraph(step,
-                     np.concatenate([hub, leaves]).astype(np.int32),
-                     np.concatenate([leaves, hub]).astype(np.int32),
-                     np.full(2 * n_leaves, int(NetworkKind.RANDOM), dtype=np.int8))
+    return step_graph(step,
+                      np.concatenate([hub, leaves]).astype(np.int32),
+                      np.concatenate([leaves, hub]).astype(np.int32),
+                      np.full(2 * n_leaves, int(NetworkKind.RANDOM), dtype=np.int8))
 
 
 def reference_gather_exposure(self, graph: StepGraph) -> np.ndarray:
     """``Engine.gather_exposure`` before it filtered edges by target, verbatim
-    (``self`` is the engine): every edge with a live source, a 3-key lexsort,
-    non-targets zeroed afterwards."""
+    but for reading the flattened blocks (``self`` is the engine): every edge
+    with a live source, a 3-key lexsort, non-targets zeroed afterwards."""
     c = self.cols
     p = self.disease
     step = self.clock
     n = c.n_agents
     hazard = np.zeros(n, dtype=np.float64)
     if graph.n_edges:
-        src, dst, kind = graph.src, graph.dst, graph.kind
+        src, dst, kind = flat_edges(graph)
         src_stage = c.stage[src]
         t = step - c.infected_at[src].astype(np.int64)
         valid = (INFECTIOUS_STAGE[src_stage]
@@ -110,9 +111,9 @@ class TestTrivialCases:
 
     def test_out_of_range_agent_index_is_hard_error(self):
         engine = make_engine(blank_state(3))
-        bad = StepGraph(0, np.array([0], dtype=np.int32),
-                        np.array([7], dtype=np.int32),
-                        np.zeros(1, dtype=np.int8))
+        bad = step_graph(0, np.array([0], dtype=np.int32),
+                         np.array([7], dtype=np.int32),
+                         np.zeros(1, dtype=np.int8))
         with pytest.raises(InvariantViolation, match="n_agents"):
             engine.step(bad)
 
@@ -138,9 +139,9 @@ class TestGather:
             cols.next_stage[i] = int(Stage.RECOVERED)
         engine = make_engine(cols, rate=2.0)
         engine.clock = 4
-        graph = StepGraph(4, np.array([0, 1], dtype=np.int32),
-                          np.array([2, 2], dtype=np.int32),
-                          np.zeros(2, dtype=np.int8))
+        graph = step_graph(4, np.array([0, 1], dtype=np.int32),
+                           np.array([2, 2], dtype=np.int32),
+                           np.zeros(2, dtype=np.int8))
         hazard = engine.gather_exposure(graph)
         single = edge_hazard(4, False, 0, 0, engine.disease)
         assert hazard[2] == pytest.approx(2 * single, rel=1e-15)
@@ -169,11 +170,11 @@ class TestGather:
         keep = src != dst
         src, dst = src[keep], dst[keep]
         kind = rng.integers(0, 3, size=len(src)).astype(np.int8)
-        g = StepGraph(5, src, dst, kind)
+        g = step_graph(5, src, dst, kind)
         base = engine.gather_exposure(g)
         for _ in range(5):
             perm = rng.permutation(len(src))
-            shuffled = StepGraph(5, src[perm], dst[perm], kind[perm])
+            shuffled = step_graph(5, src[perm], dst[perm], kind[perm])
             assert np.array_equal(engine.gather_exposure(shuffled), base)
 
     def test_star_marginal_matches_enumeration_oracle(self):
@@ -216,8 +217,8 @@ class TestConservation:
             src = rng.integers(0, n, size=800).astype(np.int32)
             dst = rng.integers(0, n, size=800).astype(np.int32)
             keep = src != dst
-            graph = StepGraph(step, src[keep], dst[keep],
-                              np.zeros(keep.sum(), dtype=np.int8))
+            graph = step_graph(step, src[keep], dst[keep],
+                               np.zeros(keep.sum(), dtype=np.int8))
             engine.step(graph)
             counts = cols.stage_counts()
             series.append((counts.sum(),
@@ -282,8 +283,8 @@ class TestGatherMatchesReference:
         dst = np.concatenate([dst, dst[twin], dst[same]])
         kind = np.concatenate([kind, (kind[twin] + 1) % 3, kind[same]])
         perm = rng.permutation(len(src))
-        return StepGraph(step, src[perm].astype(np.int32), dst[perm].astype(np.int32),
-                         kind[perm].astype(np.int8))
+        return step_graph(step, src[perm].astype(np.int32), dst[perm].astype(np.int32),
+                          kind[perm].astype(np.int8))
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 60), step=st.integers(0, 40),
@@ -304,9 +305,10 @@ class TestGatherMatchesReference:
         engine = self.random_engine(rng, 60, 20, sterilizing=False)
         graph = self.random_graph(rng, 60, 20)
         c = engine.cols
-        infectious = INFECTIOUS_STAGE[c.stage[graph.src]]
-        assert np.any(infectious & (c.quarantine_until[graph.src] > 20))
-        assert np.any(infectious & ~engine._target_mask()[graph.dst])
+        src, dst, _ = flat_edges(graph)
+        infectious = INFECTIOUS_STAGE[c.stage[src]]
+        assert np.any(infectious & (c.quarantine_until[src] > 20))
+        assert np.any(infectious & ~engine._target_mask()[dst])
         assert np.any(c.immune & (c.stage == int(Stage.SUSCEPTIBLE)))
         assert engine.disease.t_max < 25   # some sources are past the window
         hazard = engine.gather_exposure(graph)

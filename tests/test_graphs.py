@@ -125,7 +125,49 @@ def unique_stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
     return us.astype(np.int32), vs.astype(np.int32)
 
 
+def reference_build_households(household_id):
+    """``build_households`` before it was vectorized, verbatim: one Python
+    iteration and one m x m mask per household."""
+    order = np.argsort(household_id, kind="stable")
+    sorted_ids = household_id[order]
+    boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
+    groups = np.split(order, boundaries)
+    src_parts, dst_parts = [], []
+    for members in groups:
+        m = len(members)
+        if m < 2:
+            continue
+        src_parts.append(np.repeat(members, m - 1))
+        dst_parts.append(_all_others(members))
+    if not src_parts:
+        empty = np.empty(0, dtype=np.int32)
+        return empty, empty.copy()
+    return (np.concatenate(src_parts).astype(np.int32),
+            np.concatenate(dst_parts).astype(np.int32))
+
+
+def _all_others(members):
+    """For each member, all other members, flattened (complete-graph targets)."""
+    m = len(members)
+    tiled = np.broadcast_to(members, (m, m))
+    mask = ~np.eye(m, dtype=bool)
+    return tiled[mask]
+
+
 class TestHouseholds:
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(st.integers(0, 12), max_size=60))
+    @example(ids=[])
+    @example(ids=list(range(8)))
+    @example(ids=[3] * 9)
+    def test_matches_loop_reference_bytewise(self, ids):
+        household_id = np.array(ids, dtype=np.int64)
+        src, dst = build_households(household_id)
+        ref_src, ref_dst = reference_build_households(household_id)
+        assert src.dtype == dst.dtype == np.int32
+        assert src.tobytes() == ref_src.tobytes()
+        assert dst.tobytes() == ref_dst.tobytes()
+
     def test_sizes_three_and_two(self):
         hh = np.array([0, 0, 0, 1, 1])
         src, dst = build_households(hh)
@@ -299,7 +341,7 @@ class TestRealizeStepGraph:
         r = make_realizer([0, 0, 0], [0, 0, 0], [0.0, 0.0, 0.0])
         g = r.realize(0, np.zeros(3, dtype=bool))
         assert g.n_edges == 6
-        assert np.all(g.kind == int(NetworkKind.HOUSEHOLD))
+        assert g.kind_counts().tolist() == [6, 0, 0]
 
     def test_household_edges_stable_random_edges_resampled(self):
         n = 400
@@ -311,8 +353,8 @@ class TestRealizeStepGraph:
         g0, g1 = r.realize(0, dead), r.realize(1, dead)
 
         def kind_edges(g, kind):
-            sel = g.kind == int(kind)
-            return set(zip(g.src[sel].tolist(), g.dst[sel].tolist()))
+            src, dst = g.blocks[kind]
+            return set(zip(src.tolist(), dst.tolist()))
 
         assert kind_edges(g0, NetworkKind.HOUSEHOLD) \
             == kind_edges(g1, NetworkKind.HOUSEHOLD)
@@ -329,13 +371,39 @@ class TestRealizeStepGraph:
         r = make_realizer(hh, occ, np.full(n, 4.0))
         dead = rng.random(n) < 0.2
         g = r.realize(3, dead)
-        assert not np.any(dead[g.src])
-        assert not np.any(dead[g.dst])
+        for src, dst in g.blocks:
+            assert not np.any(dead[src])
+            assert not np.any(dead[dst])
 
     def test_same_inputs_same_graph(self):
         r = make_realizer(np.arange(50) // 3, np.zeros(50), np.full(50, 2.0))
         dead = np.zeros(50, dtype=bool)
         g0, g1 = r.realize(5, dead), r.realize(5, dead)
-        assert np.array_equal(g0.src, g1.src)
-        assert np.array_equal(g0.dst, g1.dst)
-        assert np.array_equal(g0.kind, g1.kind)
+        assert len(g0.blocks) == len(g1.blocks) == len(NetworkKind)
+        for (s0, d0), (s1, d1) in zip(g0.blocks, g1.blocks):
+            assert np.array_equal(s0, s1)
+            assert np.array_equal(d0, d1)
+
+    def test_block_contract(self):
+        n = 400
+        rng = np.random.default_rng(2)
+        hh = rng.integers(0, 150, size=n)
+        occ = np.where(rng.random(n) < 0.6, rng.integers(1, 24, size=n), 0)
+        r = make_realizer(hh, occ, np.full(n, 3.0))
+        dead = rng.random(n) < 0.15
+        g = r.realize(2, dead)
+        assert len(g.blocks) == len(NetworkKind)
+        for src, dst in g.blocks:
+            assert src.dtype == dst.dtype == np.int32
+            assert not np.any(dead[src]) and not np.any(dead[dst])
+        # the household block is exactly the live part of build_households
+        hh_src, hh_dst = build_households(hh)
+        live = ~(dead[hh_src] | dead[hh_dst])
+        src, dst = g.blocks[NetworkKind.HOUSEHOLD]
+        assert np.array_equal(src, hh_src[live]) and np.array_equal(dst, hh_dst[live])
+        # every occupation pair shares an occupation
+        src, dst = g.blocks[NetworkKind.OCCUPATION]
+        assert len(src) and np.all(occ[src] == occ[dst]) and np.all(occ[src] > 0)
+        assert len(g.blocks[NetworkKind.RANDOM][0])
+        assert g.n_edges == g.kind_counts().sum()
+        assert np.array_equal(g.src, np.concatenate([s for s, _ in g.blocks]))

@@ -15,7 +15,7 @@ from epivec.interventions import (ContactLog, DenConfig, ImmunityMode,
 from epivec.interventions import TestKind as DiagnosticKind
 from epivec.progression import ProgressionTable
 from epivec.rng import Purpose, uniforms
-from epivec.stages import NEVER, NetworkKind, Stage, VaccineStatus
+from epivec.stages import N_NETWORK_KINDS, NEVER, NetworkKind, Stage, VaccineStatus
 from epivec.state import AgentColumns
 from epivec.transmission import DiseaseParams
 
@@ -73,8 +73,23 @@ def blank_state(n, ages=None):
     return cols
 
 
+def step_graph(step, src, dst, kind):
+    """A StepGraph from flat edge arrays: the edges of each network kind, in
+    their given order, make up that kind's block."""
+    src, dst, kind = np.asarray(src), np.asarray(dst), np.asarray(kind)
+    return StepGraph(step, tuple((src[kind == k].astype(np.int32),
+                                  dst[kind == k].astype(np.int32))
+                                 for k in NetworkKind))
+
+
+def flat_edges(graph):
+    """``(src, dst, kind)`` of every block, concatenated in kind order."""
+    kind = np.repeat(np.arange(N_NETWORK_KINDS, dtype=np.int8), graph.kind_counts())
+    return graph.src, np.concatenate([dst for _, dst in graph.blocks]), kind
+
+
 def empty_graph(step):
-    return StepGraph.empty(step)
+    return step_graph(step, [], [], [])
 
 
 def run_steps(engine, realize, n_steps):
@@ -189,9 +204,9 @@ class TestQuarantine:
                                 test_kind=SURE_TEST)
         engine = Engine(cols, flat_disease(), simple_table(), iv, seed=0)
         engine.clock = 5
-        graph = StepGraph(5, np.array([0, 1], dtype=np.int32),
-                          np.array([1, 0], dtype=np.int32),
-                          np.zeros(2, dtype=np.int8))
+        graph = step_graph(5, np.array([0, 1], dtype=np.int32),
+                           np.array([1, 0], dtype=np.int32),
+                           np.zeros(2, dtype=np.int8))
         hazard = engine.gather_exposure(graph)
         assert hazard[1] == 0.0
         cols.quarantine_until[0] = NEVER
@@ -206,9 +221,9 @@ class TestQuarantine:
             engine = Engine(cols, flat_disease(), simple_table(),
                             InterventionConfig(), seed=0)
             engine.clock = 5
-            graph = StepGraph(5, np.array([0], dtype=np.int32),
-                              np.array([1], dtype=np.int32),
-                              np.zeros(1, dtype=np.int8))
+            graph = step_graph(5, np.array([0], dtype=np.int32),
+                               np.array([1], dtype=np.int32),
+                               np.zeros(1, dtype=np.int8))
             assert engine.gather_exposure(graph)[1] == 0.0
 
 
@@ -221,9 +236,9 @@ def den_intervention(adoption=1.0, compliance=1.0, lookback=7):
 
 
 def pair_graph(step, a, b, n_edges_dtype=np.int32):
-    return StepGraph(step, np.array([a, b], dtype=np.int32),
-                     np.array([b, a], dtype=np.int32),
-                     np.full(2, int(NetworkKind.RANDOM), dtype=np.int8))
+    return step_graph(step, np.array([a, b], dtype=np.int32),
+                      np.array([b, a], dtype=np.int32),
+                      np.full(2, int(NetworkKind.RANDOM), dtype=np.int8))
 
 
 class TestExposureNotification:
@@ -299,7 +314,8 @@ class ReferenceContactLog:
         self._steps: list[tuple[np.ndarray, np.ndarray]] = []
 
     def push(self, graph: StepGraph) -> None:
-        self._steps.append((graph.src, graph.dst))
+        src, dst, _ = flat_edges(graph)
+        self._steps.append((src, dst))
         if len(self._steps) > self.lookback:
             self._steps.pop(0)
 
@@ -342,8 +358,8 @@ def test_contact_log_keeps_what_a_notification_can_reach(n, lookback, adoption, 
         src = rng.integers(0, n, m).astype(np.int32)
         dst = rng.integers(0, n, m).astype(np.int32)
         keep = src != dst
-        graph = StepGraph(step, src[keep], dst[keep],
-                          rng.integers(0, 3, int(keep.sum())).astype(np.int8))
+        graph = step_graph(step, src[keep], dst[keep],
+                           rng.integers(0, 3, int(keep.sum())).astype(np.int8))
         log.push(graph)
         full.push(graph)
         assert len(log) == len(full)
@@ -400,9 +416,9 @@ class TestVaccination:
         others = np.arange(1, n, dtype=np.int32)
         kinds = np.zeros(n - 1, dtype=np.int8)
         for step in range(40):
-            graph = StepGraph(step, np.concatenate([hub, others]).astype(np.int32),
-                              np.concatenate([others, hub]).astype(np.int32),
-                              np.concatenate([kinds, kinds]))
+            graph = step_graph(step, np.concatenate([hub, others]).astype(np.int32),
+                               np.concatenate([others, hub]).astype(np.int32),
+                               np.concatenate([kinds, kinds]))
             engine.step(graph)
         dosed = cols.dose1_at != NEVER
         infected = cols.infected_at != NEVER
@@ -454,9 +470,9 @@ class TestVaccination:
         others = np.arange(1, n, dtype=np.int32)
         kinds = np.zeros(n - 1, dtype=np.int8)
         for step in range(8):
-            graph = StepGraph(step, np.concatenate([hub, others]).astype(np.int32),
-                              np.concatenate([others, hub]).astype(np.int32),
-                              np.concatenate([kinds, kinds]))
+            graph = step_graph(step, np.concatenate([hub, others]).astype(np.int32),
+                               np.concatenate([others, hub]).astype(np.int32),
+                               np.concatenate([kinds, kinds]))
             engine.step(graph)
         infected = (cols.infected_at != NEVER) & (np.arange(n) != 0)
         assert infected.sum() > 10  # unreduced infection rate

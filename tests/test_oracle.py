@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from epivec.engine import Engine
-from epivec.graphs import StepGraph
 from epivec.interventions import STRATEGY_BY_NAME, TEST_KINDS, InterventionConfig
 from epivec.oracle import OracleSim, agents_from_columns
 from epivec.runner import bench, replication_seed, run_replication, verify_equivalence
@@ -18,7 +17,8 @@ from epivec.scenario import (default_disease_dict, default_population_dict,
 from epivec.stages import NetworkKind, Stage
 from epivec.errors import VerificationDivergence
 
-from test_interventions import blank_state, empty_graph, flat_disease, simple_table
+from test_interventions import (blank_state, empty_graph, flat_disease, simple_table,
+                                step_graph)
 
 
 def small_scenario(n=200, horizon=25, seed=1, interventions=None):
@@ -181,11 +181,11 @@ class TestIndependentEdgesMode:
         n_leaves = 4
         leaves = np.arange(1, n_leaves + 1, dtype=np.int32)
         hub = np.zeros(n_leaves, dtype=np.int32)
-        graph = StepGraph(4,
-                          np.concatenate([hub, leaves]).astype(np.int32),
-                          np.concatenate([leaves, hub]).astype(np.int32),
-                          np.full(2 * n_leaves, int(NetworkKind.RANDOM),
-                                  dtype=np.int8))
+        graph = step_graph(4,
+                           np.concatenate([hub, leaves]).astype(np.int32),
+                           np.concatenate([leaves, hub]).astype(np.int32),
+                           np.full(2 * n_leaves, int(NetworkKind.RANDOM),
+                                   dtype=np.int8))
         trials = 100_000
         hits = 0
         table = simple_table()
@@ -217,9 +217,9 @@ class TestIndependentEdgesMode:
         counts = {OracleSim.REPLAY: 0, OracleSim.INDEPENDENT: 0}
         table = simple_table()
         iv = InterventionConfig()
-        graph = StepGraph(4, np.array([0, 1], dtype=np.int32),
-                          np.array([2, 2], dtype=np.int32),
-                          np.zeros(2, dtype=np.int8))
+        graph = step_graph(4, np.array([0, 1], dtype=np.int32),
+                           np.array([2, 2], dtype=np.int32),
+                           np.zeros(2, dtype=np.int8))
         for mode in counts:
             for seed in range(trials):
                 cols = blank_state(3)

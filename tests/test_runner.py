@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from epivec import cli
 from epivec.cli import main
 from epivec.errors import ConfigError, InvariantViolation, VerificationDivergence
+from epivec.interventions import InterventionConfig
 from epivec.runner import (CSV_COLUMNS, SCHEMA, SUMMARY_METRICS, RunResult,
                            bench, load_results, replication_seed,
                            run_replication, run_scenario, summarize,
@@ -275,10 +276,16 @@ class TestScenarioLoading:
         ({"disease": {"infectiousness_mean_days": 1e308}},
          "disease.infectiousness_mean_days, disease.infectiousness_sd_days",
          "a curve with a finite tail day"),
+        ({"disease": {"infectiousness_mean_days": 1e7, "infectiousness_sd_days": 1e3}},
+         "disease.infectiousness_mean_days, disease.infectiousness_sd_days",
+         "a curve whose tail day is at most 3650"),
     ])
     def test_bad_scalar_rejected(self, d, path, problem):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected {problem},"):
             scenario_from_dict(with_sections(**d))
+
+    def test_absent_interventions_take_the_dataclass_defaults(self):
+        assert scenario_from_dict({}).interventions == InterventionConfig()
 
     def test_whole_float_accepted_for_integer_field(self):
         config = tiny_scenario(horizon=3.0)
@@ -514,7 +521,9 @@ class TestCli:
                   with_sections(population={"occupation_eligible_age_bands": [2.5]}),
                   with_sections(population={"household_size_distribution": {
                       "sizes": [1, 1e308], "probabilities": [0.5, 0.5]}}),
-                  with_sections(disease={"infectiousness_sd_days": 1e308})):
+                  with_sections(disease={"infectiousness_sd_days": 1e308}),
+                  with_sections(disease={"infectiousness_mean_days": 1e7,
+                                         "infectiousness_sd_days": 1e3})):
             bad.write_text(json.dumps(d))
             assert main(["simulate", "--scenario", str(bad),
                          "--out", str(tmp_path / "x")]) == 1, d
