@@ -2,7 +2,8 @@
 
 Three network families are realized each step, each into its own edge block:
 
-* households: complete graphs, fixed for the whole run;
+* households: complete graphs, fixed for the whole run; the live block is
+  filtered again only after a step on which someone died;
 * occupations: one small-world graph per occupation, membership fixed but
   edges redrawn every step with that occupation's mean interaction count;
 * a global random network redrawn every step, honoring per-agent target
@@ -124,8 +125,10 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
     """Configuration-model pairing honoring fractional degrees in expectation.
 
     Each agent contributes floor(d) stubs plus one more with probability
-    frac(d); shuffled stubs are paired off, dropping self-pairs and duplicate
-    pairs (rare for large populations).
+    frac(d); shuffled stubs are paired off, dropping self-pairs and every
+    occurrence of a pair after its first.  Repeated pairs are rare (about 2
+    per call at 100K agents), so one sort of the pair keys finds the repeated
+    values and only the pairs holding one are stable-sorted.
     """
     base = np.floor(target_degrees).astype(np.int64)
     frac = target_degrees - base
@@ -144,14 +147,17 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
     # drop duplicate undirected pairs, keeping each pair's first occurrence
     if len(us):
         n = int(max(us.max(), vs.max())) + 1
-        key = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
-        order = np.argsort(key)
-        sorted_key = key[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], sorted_key[1:] != sorted_key[:-1])))
-        first = np.zeros(len(key), dtype=bool)
-        first[np.minimum.reduceat(order, starts)] = True
-        us, vs = us[first], vs[first]
+        key = np.minimum(us, vs).astype(np.int64)
+        key *= n
+        key += np.maximum(us, vs)
+        sk = np.sort(key)
+        repeated = sk[1:][sk[1:] == sk[:-1]]
+        if len(repeated):
+            at = np.flatnonzero(np.isin(key, repeated))
+            at = at[np.argsort(key[at], kind="stable")]
+            keep = np.ones(len(key), dtype=bool)
+            keep[at[1:][key[at[1:]] == key[at[:-1]]]] = False
+            us, vs = us[keep], vs[keep]
     return us.astype(np.int32, copy=False), vs.astype(np.int32, copy=False)
 
 
@@ -165,6 +171,11 @@ class GraphRealizer:
 
     Construction is a pure function of (replication seed, step, dead mask),
     so any two simulations holding identical state realize identical graphs.
+    What depends on the dead mask alone (the live household block, the live
+    members of each occupation, the live agents) is kept with the mask it was
+    derived from and derived again only when a step's mask differs from it.
+    The kept arrays are read-only: every step's graph until the next death
+    shares the same household block.
     """
 
     def __init__(self, seed: int, household_id: np.ndarray,
@@ -183,15 +194,31 @@ class GraphRealizer:
         self.occ_k = {j: float(occupation_mean_interactions[j - 1])
                       for j in self.occ_members}
         self.rewire_beta = float(rewire_beta)
+        self._dead = None
+
+    def _live(self, dead: np.ndarray) -> None:
+        """Derive the live household block, occupation members and agents from
+        ``dead`` unless the last mask equals it.  Masks are compared whole, not
+        by death count, so a mask that revives an agent is derived afresh."""
+        if self._dead is not None and np.array_equal(dead, self._dead):
+            return
+        alive = ~(dead[self.hh_src] | dead[self.hh_dst])
+        self._household = (self.hh_src[alive], self.hh_dst[alive])
+        self._occ_live = {j: members[~dead[members]]
+                          for j, members in self.occ_members.items()}
+        self._live_agents = np.flatnonzero(~dead).astype(np.int32)
+        self._live_degree = self.random_degree[self._live_agents]
+        self._dead = dead.copy()
+        for a in (*self._household, *self._occ_live.values(), self._live_agents,
+                  self._live_degree, self._dead):
+            a.flags.writeable = False
 
     def realize(self, step: int, dead: np.ndarray) -> StepGraph:
-        alive = ~(dead[self.hh_src] | dead[self.hh_dst])
-        household = (self.hh_src[alive], self.hh_dst[alive])
+        self._live(dead)
 
         empty = np.empty(0, dtype=np.int32)   # for steps with no occupation graph
         us_parts, vs_parts = [empty], [empty]
-        for j, members in self.occ_members.items():
-            live = members[~dead[members]]
+        for j, live in self._occ_live.items():
             m = len(live)
             k = min(round_to_even(self.occ_k[j]), 2 * ((m - 1) // 2))
             if m < 3 or k < 2:
@@ -203,12 +230,11 @@ class GraphRealizer:
         occupation = undirected_to_directed(np.concatenate(us_parts),
                                             np.concatenate(vs_parts))
 
-        live_agents = np.flatnonzero(~dead).astype(np.int32)
         rng = substream(self.seed, Purpose.GRAPH_RANDOM, step)
         random = undirected_to_directed(
-            *stub_pairing(live_agents, self.random_degree[live_agents], rng))
+            *stub_pairing(self._live_agents, self._live_degree, rng))
 
-        blocks = (household, occupation, random)   # NetworkKind order
+        blocks = (self._household, occupation, random)   # NetworkKind order
         if any(np.any(src == dst) for src, dst in blocks):
             raise InvariantViolation("graph realization produced a self-loop")
         return StepGraph(step, blocks)

@@ -146,22 +146,31 @@ def priority_sort_key(strategy: Strategy, elderly_band: int,
 class ContactLog:
     """Ring buffer of the last ``lookback`` steps of interaction edge blocks.
 
-    Only edges whose two ends hold the app (``has_app``, read at each push)
-    are kept: no other edge can carry an exposure notification.
+    Only edges whose two ends hold the app (``has_app``, fixed for the run)
+    are kept: no other edge can carry an exposure notification.  The kept
+    household block is reused while the pushed household ``src`` is the same
+    array object as last time; ``GraphRealizer`` shares one read-only
+    household block across steps until someone dies, so the same object means
+    the same edges.
     """
 
     def __init__(self, lookback: int, has_app: np.ndarray):
         self.lookback = lookback
         self.has_app = has_app
         self._steps: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        self._household = (None, None)   # (pushed src, its kept block)
+
+    def _kept(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        app = self.has_app
+        keep = np.flatnonzero(app.take(src) & app.take(dst))
+        return src.take(keep), dst.take(keep)
 
     def push(self, graph: StepGraph) -> None:
-        app = self.has_app
-        kept = []
-        for src, dst in graph.blocks:
-            keep = np.flatnonzero(app.take(src) & app.take(dst))
-            kept.append((src.take(keep), dst.take(keep)))
-        self._steps.append(kept)
+        (hh_src, hh_dst), *others = graph.blocks   # NetworkKind order
+        if hh_src is not self._household[0]:
+            self._household = (hh_src, self._kept(hh_src, hh_dst))
+        self._steps.append([self._household[1],
+                            *(self._kept(src, dst) for src, dst in others)])
         if len(self._steps) > self.lookback:
             self._steps.pop(0)
 

@@ -13,6 +13,7 @@ relative to the configured values.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ from .stages import NEVER, N_AGE_BANDS, N_OCCUPATIONS, Stage
 from .state import AgentColumns
 
 _DIST_TOL = 1e-9
+# A household of m members is a complete graph of m*(m-1) directed edges,
+# built before step 0 and kept for the run: a size of 10^5 alone would ask
+# for 10^10 edges.  1,000 members is 999,000 edges (8 MB of int32 pairs).
+MAX_HOUSEHOLD_SIZE = 1000
 _POPULATION_KEYS = ("schema_version", "comment", "n_agents", "age_distribution",
                     "household_size_distribution", "occupation_distribution",
                     "occupation_eligible_age_bands", "random_degree_by_age", "networks")
@@ -43,6 +48,15 @@ def _check_distribution(p, size: int, path: str) -> np.ndarray:
 
 @dataclass
 class PopulationSpec:
+    """Population distributions.
+
+    ``n_agents`` has no upper bound beyond the int32 agent ids: every
+    per-agent cost is linear in it (70 bytes of agent columns, plus each
+    step's edges), so the machine's memory bounds it long before the ids do.
+    Household sizes are bounded by ``MAX_HOUSEHOLD_SIZE``, since a
+    household's edges grow with the square of its size.
+    """
+
     n_agents: int
     age_distribution: np.ndarray             # 9 probabilities
     household_sizes: np.ndarray              # candidate sizes
@@ -61,6 +75,11 @@ class PopulationSpec:
         self.household_sizes = np.asarray(self.household_sizes, dtype=np.int64)
         if np.any(self.household_sizes < 1):
             raise ConfigError("population.household_size_distribution.sizes: sizes must be >= 1")
+        if np.any(self.household_sizes > MAX_HOUSEHOLD_SIZE):
+            i = int(np.flatnonzero(self.household_sizes > MAX_HOUSEHOLD_SIZE)[0])
+            raise ConfigError(
+                f"population.household_size_distribution.sizes[{i}]: expected a "
+                f"size of at most {MAX_HOUSEHOLD_SIZE}, got {self.household_sizes[i]}")
         self.household_size_probs = _check_distribution(
             self.household_size_probs, len(self.household_sizes),
             "population.household_size_distribution.probabilities")
@@ -122,20 +141,17 @@ def synthesize(spec: PopulationSpec, seed: int) -> AgentColumns:
 
     cols.age_band[:] = rng.choice(N_AGE_BANDS, size=n, p=spec.age_distribution)
 
-    # households: draw sizes until the population is covered, truncate the last
-    sizes = []
-    covered = 0
-    while covered < n:
-        s = int(rng.choice(spec.household_sizes, p=spec.household_size_probs))
-        sizes.append(min(s, n - covered))
-        covered += sizes[-1]
-    order = rng.permutation(n)
-    hh = np.empty(n, dtype=np.int32)
-    at = 0
-    for i, s in enumerate(sizes):
-        hh[order[at:at + s]] = i
-        at += s
-    cols.household_id[:] = hh
+    # households: draw sizes until the population is covered, truncate the
+    # last.  Sizes are at least 1, so n draws on a copy of the generator find
+    # the count k that covers n; the real generator then draws exactly k, the
+    # same values as k single draws.
+    trial = copy.deepcopy(rng).choice(spec.household_sizes, size=n,
+                                      p=spec.household_size_probs)
+    k = int(np.searchsorted(np.cumsum(trial), n)) + 1
+    sizes = rng.choice(spec.household_sizes, size=k, p=spec.household_size_probs)
+    sizes[-1] -= sizes.sum() - n
+    cols.household_id[rng.permutation(n)] = np.repeat(np.arange(k, dtype=np.int32),
+                                                      sizes)
 
     eligible = np.isin(cols.age_band, np.asarray(spec.occupation_eligible_bands, dtype=np.int8))
     n_eligible = int(eligible.sum())

@@ -42,6 +42,14 @@ def default_progression_dict() -> dict:
 
 @dataclass
 class ScenarioConfig:
+    """A scenario: what to simulate, for how many steps, how many times.
+
+    ``horizon`` has no upper bound beyond the int32 step columns: a run's
+    time and its output (one 152-byte row per step, allocated before step 0)
+    grow linearly with it, so a long horizon costs in proportion and never
+    blows up the way a large household does.
+    """
+
     name: str
     population: PopulationSpec
     disease: DiseaseParams

@@ -301,6 +301,8 @@ class TestStubPairing:
     @given(degrees=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12),
            stride=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     @example(degrees=[4.0] * 6, stride=1, seed=0)   # 11 pairs, 3 of them repeats
+    @example(degrees=[6.0] * 3, stride=1, seed=0)   # keys 0-1 and 0-2 thrice each,
+                                                   # in both orientations
     def test_dedupe_matches_unique_reference(self, degrees, stride, seed):
         agents = (np.arange(len(degrees)) * stride).astype(np.int32)
         targets = np.array(degrees)
@@ -407,3 +409,35 @@ class TestRealizeStepGraph:
         assert len(g.blocks[NetworkKind.RANDOM][0])
         assert g.n_edges == g.kind_counts().sum()
         assert np.array_equal(g.src, np.concatenate([s for s, _ in g.blocks]))
+
+    def test_mask_sequence_matches_fresh_realizer(self):
+        """The kept live sets follow the mask, whatever its history: no deaths,
+        some, the same mask again, one agent revived and another dead (the
+        same death count), then all dead."""
+        n = 400
+        rng = np.random.default_rng(3)
+        hh = rng.integers(0, 150, size=n)
+        occ = np.where(rng.random(n) < 0.6, rng.integers(1, 24, size=n), 0)
+        args = (hh, occ, np.full(n, 3.0))
+        r = make_realizer(*args)
+        hh_src, hh_dst = build_households(hh)
+        none = np.zeros(n, dtype=bool)
+        some = rng.random(n) < 0.1
+        revived = some.copy()
+        revived[np.flatnonzero(some)[0]] = False
+        revived[np.flatnonzero(~some)[0]] = True
+        masks = [none, some, some.copy(), revived, np.ones(n, dtype=bool)]
+        previous = None
+        for step, dead in enumerate(masks):
+            g = r.realize(step, dead)
+            live = ~(dead[hh_src] | dead[hh_dst])
+            src, dst = g.blocks[NetworkKind.HOUSEHOLD]
+            assert np.array_equal(src, hh_src[live]) and np.array_equal(dst, hh_dst[live])
+            assert not src.flags.writeable and not dst.flags.writeable
+            if previous is not None and np.array_equal(dead, masks[step - 1]):
+                assert src is previous
+            previous = src
+            fresh = make_realizer(*args).realize(step, dead)
+            for (s, d), (fs, fd) in zip(g.blocks, fresh.blocks):
+                assert s.tobytes() == fs.tobytes() and d.tobytes() == fd.tobytes()
+        assert g.n_edges == 0

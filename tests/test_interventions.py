@@ -507,3 +507,28 @@ class TestConfigGuards:
             VaccinePolicy(dose1_efficacy=-0.1)
         with pytest.raises(ConfigError):
             InterventionConfig(quarantine_dropout=2.0)
+
+
+def test_contact_log_reuses_a_repeated_household_block():
+    """A household block pushed again as the same object is reused; a new
+    object (after a death) is filtered afresh.  Queries match the full log
+    after every push."""
+    n = 40
+    rng = np.random.default_rng(4)
+    has_app = rng.random(n) < 0.6
+    log, full = ContactLog(2, has_app), ReferenceContactLog(2)
+    src = rng.integers(0, n, 120).astype(np.int32)
+    dst = (src + rng.integers(1, n, 120).astype(np.int32)) % n
+    first = (src[:60], dst[:60])
+    later = (src[60:], dst[60:])
+    for step, household in enumerate([first, first, first, later, later, later]):
+        other = rng.integers(0, n, (2, 60)).astype(np.int32)
+        keep = other[0] != other[1]
+        random = (other[0][keep], other[1][keep])
+        empty = np.empty(0, dtype=np.int32)
+        graph = StepGraph(step, (household, (empty, empty), random))
+        log.push(graph)
+        full.push(graph)
+        notifiers = np.flatnonzero(has_app & (rng.random(n) < 0.5))
+        expected = full.contacts_of(notifiers)
+        assert np.array_equal(log.contacts_of(notifiers), expected[has_app[expected]])

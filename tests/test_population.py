@@ -1,13 +1,18 @@
 """Population synthesis and infection seeding."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from epivec.errors import ConfigError
-from epivec.population import PopulationSpec, seed_infections, synthesize
+from epivec.population import (MAX_HOUSEHOLD_SIZE, PopulationSpec,
+                               seed_infections, synthesize)
+from epivec.rng import Purpose, substream
 from epivec.scenario import default_population_dict, default_progression_dict
 from epivec.progression import ProgressionTable
-from epivec.stages import NEVER, Stage
+from epivec.stages import N_AGE_BANDS, N_OCCUPATIONS, NEVER, Stage
+from epivec.state import AgentColumns
 
 
 def spec_with(n_agents, **overrides):
@@ -16,6 +21,43 @@ def spec_with(n_agents, **overrides):
     for key, value in overrides.items():
         d[key] = value
     return PopulationSpec.from_dict(d)
+
+
+def loop_synthesize(spec, seed):
+    """Reference: ``synthesize`` with the one-draw-per-household loop it
+    replaced, verbatim."""
+    rng = substream(seed, Purpose.POPULATION)
+    n = spec.n_agents
+    cols = AgentColumns.allocate(n)
+
+    cols.age_band[:] = rng.choice(N_AGE_BANDS, size=n, p=spec.age_distribution)
+
+    # households: draw sizes until the population is covered, truncate the last
+    sizes = []
+    covered = 0
+    while covered < n:
+        s = int(rng.choice(spec.household_sizes, p=spec.household_size_probs))
+        sizes.append(min(s, n - covered))
+        covered += sizes[-1]
+    order = rng.permutation(n)
+    hh = np.empty(n, dtype=np.int32)
+    at = 0
+    for i, s in enumerate(sizes):
+        hh[order[at:at + s]] = i
+        at += s
+    cols.household_id[:] = hh
+
+    eligible = np.isin(cols.age_band, np.asarray(spec.occupation_eligible_bands, dtype=np.int8))
+    n_eligible = int(eligible.sum())
+    occ = np.zeros(n, dtype=np.int16)
+    if n_eligible:
+        occ[eligible] = rng.choice(
+            np.arange(1, N_OCCUPATIONS + 1), size=n_eligible,
+            p=spec.occupation_distribution).astype(np.int16)
+    cols.occupation[:] = occ
+
+    cols.random_degree[:] = spec.random_degree_by_age[cols.age_band]
+    return cols
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +74,14 @@ class TestValidation:
         dist = [0.2, -0.1, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1]
         with pytest.raises(ConfigError, match=r"age_distribution\[1\]"):
             spec_with(10, age_distribution=dist)
+
+    def test_household_size_bounded(self):
+        hh = {"sizes": [2, MAX_HOUSEHOLD_SIZE + 1], "probabilities": [0.5, 0.5]}
+        with pytest.raises(ConfigError, match=r"sizes\[1\]: expected a size of at "
+                                              f"most {MAX_HOUSEHOLD_SIZE},"):
+            spec_with(10, household_size_distribution=hh)
+        hh["sizes"][1] = MAX_HOUSEHOLD_SIZE
+        assert spec_with(10, household_size_distribution=hh).household_sizes[1] == 1000
 
     def test_missing_field_is_config_error(self):
         d = default_population_dict()
@@ -91,6 +141,25 @@ class TestSynthesize:
         assert np.array_equal(a.age_band, b.age_band)
         assert np.array_equal(a.household_id, b.household_id)
         assert not np.array_equal(a.age_band, c.age_band)
+
+
+    @pytest.mark.parametrize("n, households", [
+        (1, None),
+        (7, {"sizes": [3], "probabilities": [1.0]}),      # 3 + 3 + a truncated 1
+        (10, {"sizes": [1, 4, 6], "probabilities": [0.0, 1.0, 0.0]}),
+        (10_000, None),
+        (100_000, None),
+    ])
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_matches_loop_reference(self, n, households, seed):
+        overrides = {"household_size_distribution": households} if households else {}
+        spec = spec_with(n, **overrides)
+        cols, ref = synthesize(spec, seed), loop_synthesize(spec, seed)
+        assert cols.n_agents == ref.n_agents
+        for f in fields(AgentColumns):
+            if f.name != "n_agents":
+                assert (getattr(cols, f.name).tobytes()
+                        == getattr(ref, f.name).tobytes()), f.name
 
 
 class TestSeedInfections:

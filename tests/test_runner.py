@@ -268,6 +268,10 @@ class TestScenarioLoading:
             "sizes": [1, 1e308], "probabilities": [0.5, 0.5]}}},
          "population.household_size_distribution.sizes[1]",
          "a whole number in the int64 range"),
+        ({"population": {"household_size_distribution": {
+            "sizes": [1, 10**6], "probabilities": [0.5, 0.5]}}},
+         "population.household_size_distribution.sizes[1]",
+         "a size of at most 1000"),
         ({"horizon": 2**63}, "horizon", "a whole number in the int64 range"),
         ({"base_seed": -1e19}, "base_seed", "a whole number in the int64 range"),
         ({"disease": {"infectiousness_sd_days": 1e308}},
@@ -521,6 +525,8 @@ class TestCli:
                   with_sections(population={"occupation_eligible_age_bands": [2.5]}),
                   with_sections(population={"household_size_distribution": {
                       "sizes": [1, 1e308], "probabilities": [0.5, 0.5]}}),
+                  with_sections(population={"household_size_distribution": {
+                      "sizes": [1, 10**6], "probabilities": [0.5, 0.5]}}),
                   with_sections(disease={"infectiousness_sd_days": 1e308}),
                   with_sections(disease={"infectiousness_mean_days": 1e7,
                                          "infectiousness_sd_days": 1e3})):
