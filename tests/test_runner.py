@@ -268,10 +268,6 @@ class TestScenarioLoading:
             "sizes": [1, 1e308], "probabilities": [0.5, 0.5]}}},
          "population.household_size_distribution.sizes[1]",
          "a whole number in the int64 range"),
-        ({"population": {"household_size_distribution": {
-            "sizes": [1, 10**6], "probabilities": [0.5, 0.5]}}},
-         "population.household_size_distribution.sizes[1]",
-         "a size of at most 1000"),
         ({"horizon": 2**63}, "horizon", "a whole number in the int64 range"),
         ({"base_seed": -1e19}, "base_seed", "a whole number in the int64 range"),
         ({"disease": {"infectiousness_sd_days": 1e308}},
@@ -283,6 +279,10 @@ class TestScenarioLoading:
         ({"disease": {"infectiousness_mean_days": 1e7, "infectiousness_sd_days": 1e3}},
          "disease.infectiousness_mean_days, disease.infectiousness_sd_days",
          "a curve whose tail day is at most 3650"),
+        ({"population": {"household_size_distribution": {
+            "sizes": [1, 10**6], "probabilities": [0.5, 0.5]}}},
+         "population.household_size_distribution.sizes[1]",
+         "a size of at most 1000"),
     ])
     def test_bad_scalar_rejected(self, d, path, problem):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected {problem},"):
