@@ -4,7 +4,7 @@ One ``step(graph)`` call advances the population by one day through a pinned
 phase order (the reference oracle mirrors it exactly):
 
 1. transmission: gather per-agent hazard over the edge blocks, one aggregate
-   infection draw per susceptible agent, entry-stage assignment, progression
+   infection draw per agent with hazard, entry-stage assignment, progression
    scheduling for the newly infected;
 2. progression: fire transitions due this step, schedule onward transitions;
 3. test sampling: agents who just turned symptomatic plus notified agents
@@ -57,7 +57,7 @@ class Engine:
 
     def __init__(self, cols: AgentColumns, disease: DiseaseParams,
                  table: ProgressionTable, interventions: InterventionConfig,
-                 seed: int, check_invariants: bool = True):
+                 seed: int):
         self.cols = cols
         self.disease = disease
         self.table = table
@@ -65,11 +65,9 @@ class Engine:
         self.seed = seed
         self.clock = 0
         self.vaccination_open = False
-        self.check = check_invariants
         self.contact_log = ContactLog(interventions.den.lookback,
                                       cols.has_den_app) \
             if interventions.den_enabled else None
-        self._all_agents = np.arange(cols.n_agents, dtype=np.int64)
         self._sterilizing = (interventions.vaccine.immunity_mode
                              == ImmunityMode.STERILIZING)
 
@@ -152,8 +150,7 @@ class Engine:
 
         if self.contact_log is not None:
             self.contact_log.push(graph)
-        if self.check:
-            c.check_invariants(step)
+        c.check_invariants(step)
         self.clock += 1
         return ev
 
@@ -163,9 +160,10 @@ class Engine:
         hazard = self.gather_exposure(graph)
         if np.any(hazard < 0):
             raise InvariantViolation("negative hazard out of gather")
-        prob = 1.0 - np.exp(-hazard)
-        u = uniforms(self.seed, step, Purpose.INFECTION, self._all_agents)
-        new = np.nonzero(self._target_mask() & (u < prob))[0]
+        # only targets carry hazard, and the draws are keyed per agent
+        exposed = np.flatnonzero(hazard)
+        u = uniforms(self.seed, step, Purpose.INFECTION, exposed)
+        new = exposed[u < 1.0 - np.exp(-hazard[exposed])]
         if not len(new):
             return
         u_entry = uniforms(self.seed, step, Purpose.ENTRY_STAGE, new)

@@ -9,6 +9,8 @@ exception -> 4.
 import math
 import numbers
 
+import numpy as np
+
 
 class EpivecError(Exception):
     """Base class for all package errors."""
@@ -78,3 +80,21 @@ def _finite(value, where: str, kind):
         raise ConfigError(f"{where}: expected a whole number in the int64 range, "
                           f"got {value!r}")
     return kind(value)
+
+
+def positive(where: str, value) -> None:
+    """Raise a ConfigError naming ``where`` unless ``value > 0``."""
+    if not value > 0:
+        raise ConfigError(f"{where}: expected a value > 0, got {value!r}")
+
+
+def in_range(where: str, value, lo, hi=math.inf) -> None:
+    """Raise a ConfigError naming ``where`` unless ``lo <= value <= hi``; for a
+    sequence ``value`` it names ``where[i]`` of the first entry out of range."""
+    values = np.asarray(value)
+    bad = np.flatnonzero(~((values >= lo) & (values <= hi)))
+    if len(bad):
+        where = f"{where}[{bad[0]}]" if values.ndim else where
+        bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{where}: expected a value {bound}, "
+                          f"got {values.ravel()[bad[0]].item()!r}")

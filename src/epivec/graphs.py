@@ -175,7 +175,8 @@ class GraphRealizer:
     members of each occupation, the live agents) is kept with the mask it was
     derived from and derived again only when a step's mask differs from it.
     The kept arrays are read-only: every step's graph until the next death
-    shares the same household block.
+    shares the same household block, checked for self-loops once, when it is
+    derived.
     """
 
     def __init__(self, seed: int, household_id: np.ndarray,
@@ -204,6 +205,7 @@ class GraphRealizer:
             return
         alive = ~(dead[self.hh_src] | dead[self.hh_dst])
         self._household = (self.hh_src[alive], self.hh_dst[alive])
+        _check_no_self_loops(self._household)
         self._occ_live = {j: members[~dead[members]]
                           for j, members in self.occ_members.items()}
         self._live_agents = np.flatnonzero(~dead).astype(np.int32)
@@ -234,7 +236,10 @@ class GraphRealizer:
         random = undirected_to_directed(
             *stub_pairing(self._live_agents, self._live_degree, rng))
 
-        blocks = (self._household, occupation, random)   # NetworkKind order
-        if any(np.any(src == dst) for src, dst in blocks):
-            raise InvariantViolation("graph realization produced a self-loop")
-        return StepGraph(step, blocks)
+        _check_no_self_loops(occupation, random)
+        return StepGraph(step, (self._household, occupation, random))  # NetworkKind order
+
+
+def _check_no_self_loops(*blocks) -> None:
+    if any(np.any(src == dst) for src, dst in blocks):
+        raise InvariantViolation("graph realization produced a self-loop")

@@ -16,8 +16,9 @@ from enum import IntEnum, unique
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, in_range
 from .graphs import StepGraph
+from .stages import N_AGE_BANDS
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,9 @@ class DenConfig:
     lookback: int = 7
 
     def __post_init__(self):
-        for name in ("app_adoption", "compliance_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"den.{name} outside [0, 1]")
-        if self.lookback < 1:
-            raise ConfigError("den.lookback must be >= 1")
+        in_range("interventions.den.app_adoption", self.app_adoption, 0, 1)
+        in_range("interventions.den.compliance_prob", self.compliance_prob, 0, 1)
+        in_range("interventions.den.lookback", self.lookback, 1)
 
 
 @unique
@@ -98,12 +96,13 @@ class VaccinePolicy:
                                   # the closest band boundary to "above 65")
 
     def __post_init__(self):
+        where = "interventions.vaccination"
         for name in ("dose1_efficacy", "dose2_efficacy", "daily_rate", "start_trigger"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"vaccination.{name} outside [0, 1]")
-        if self.dose1_latency < 0 or self.dose2_latency < 0 or self.dose_gap < 1:
-            raise ConfigError("vaccination latencies must be >= 0 and dose_gap >= 1")
+            in_range(f"{where}.{name}", getattr(self, name), 0, 1)
+        in_range(f"{where}.dose1_latency", self.dose1_latency, 0)
+        in_range(f"{where}.dose2_latency", self.dose2_latency, 0)
+        in_range(f"{where}.dose_gap", self.dose_gap, 1)
+        in_range(f"{where}.elderly_band", self.elderly_band, 0, N_AGE_BANDS - 1)
 
     def doses_per_day(self, n_agents: int) -> int:
         return int(np.rint(self.daily_rate * n_agents))
@@ -204,11 +203,10 @@ class InterventionConfig:
     vaccine: VaccinePolicy = field(default_factory=VaccinePolicy)
 
     def __post_init__(self):
-        if self.quarantine_duration < 1:
-            raise ConfigError("quarantine duration must be >= 1 step")
-        if not 0.0 <= self.quarantine_dropout <= 1.0:
-            raise ConfigError("quarantine dropout outside [0, 1]")
-        if not 0.0 <= self.false_positive_prob <= 1.0:
-            raise ConfigError("false_positive_prob outside [0, 1]")
+        in_range("interventions.quarantine.duration", self.quarantine_duration, 1)
+        in_range("interventions.quarantine.dropout_prob", self.quarantine_dropout, 0, 1)
+        in_range("interventions.testing.false_positive_prob",
+                 self.false_positive_prob, 0, 1)
         if self.den_enabled and not self.testing_enabled:
-            raise ConfigError("exposure notification requires testing enabled")
+            raise ConfigError("interventions.den.enabled: exposure notification "
+                              "requires testing enabled")

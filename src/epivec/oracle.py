@@ -8,7 +8,9 @@ infection draw per agent), so trajectories must match bit for bit.  In
 per-agent infection marginals then coincide with the aggregate draw exactly
 because hazards are summed inside one exponent.
 
-No performance work here on purpose: the loops are the point.
+No performance work here on purpose: the loops are the point.  The records
+are typed by hand: a new agent column is declared in ``AgentColumns``
+(``state.py``) and gets a plain field on ``NaiveAgent`` at the same position.
 """
 
 from __future__ import annotations
@@ -24,71 +26,47 @@ from .progression import ProgressionTable
 from .rng import Purpose, uniform
 from .stages import (ACTIVE_INFECTION_STAGE, ASYMPTOMATIC_LIKE_STAGE,
                      INFECTIOUS_STAGE, NEVER, Stage, VaccineStatus)
-from .state import AgentColumns
+from .state import AGENT_COLUMNS, AgentColumns
 from .transmission import DiseaseParams, edge_hazard, infection_probability
 
 
 @dataclass
 class NaiveAgent:
-    """One agent as an individual record (field parity with AgentColumns)."""
+    """One agent as an individual record: ``agent_id``, then one field per
+    agent column, in ``AGENT_COLUMNS`` order."""
 
     agent_id: int
     age_band: int
     occupation: int
     household_id: int
     random_degree: float
-    stage: int = int(Stage.SUSCEPTIBLE)
-    infected_at: int = NEVER
-    next_transition_at: int = NEVER
-    next_stage: int = NEVER
-    quarantine_until: int = NEVER
-    quarantine_started_at: int = NEVER
-    has_den_app: bool = False
-    vaccine_status: int = int(VaccineStatus.PRE_VACCINATION)
-    dose1_at: int = NEVER
-    dose2_at: int = NEVER
-    immune: bool = False
-    immunity_check_at: int = NEVER
-    immunity_check_prob: float = 0.0
-    immunity_check_dose: int = 0
-    test_sample_at: int = NEVER
-    test_result_at: int = NEVER
-    test_positive: bool = False
-    den_test_due_at: int = NEVER
+    stage: int
+    infected_at: int
+    next_transition_at: int
+    next_stage: int
+    quarantine_until: int
+    quarantine_started_at: int
+    has_den_app: bool
+    vaccine_status: int
+    dose1_at: int
+    dose2_at: int
+    immune: bool
+    immunity_check_at: int
+    immunity_check_prob: float
+    immunity_check_dose: int
+    test_sample_at: int
+    test_result_at: int
+    test_positive: bool
+    den_test_due_at: int
 
     def quarantined(self, step: int) -> bool:
         return self.quarantine_until > step
 
 
 def agents_from_columns(cols: AgentColumns) -> list[NaiveAgent]:
-    out = []
-    for i in range(cols.n_agents):
-        out.append(NaiveAgent(
-            agent_id=i,
-            age_band=int(cols.age_band[i]),
-            occupation=int(cols.occupation[i]),
-            household_id=int(cols.household_id[i]),
-            random_degree=float(cols.random_degree[i]),
-            stage=int(cols.stage[i]),
-            infected_at=int(cols.infected_at[i]),
-            next_transition_at=int(cols.next_transition_at[i]),
-            next_stage=int(cols.next_stage[i]),
-            quarantine_until=int(cols.quarantine_until[i]),
-            quarantine_started_at=int(cols.quarantine_started_at[i]),
-            has_den_app=bool(cols.has_den_app[i]),
-            vaccine_status=int(cols.vaccine_status[i]),
-            dose1_at=int(cols.dose1_at[i]),
-            dose2_at=int(cols.dose2_at[i]),
-            immune=bool(cols.immune[i]),
-            immunity_check_at=int(cols.immunity_check_at[i]),
-            immunity_check_prob=float(cols.immunity_check_prob[i]),
-            immunity_check_dose=int(cols.immunity_check_dose[i]),
-            test_sample_at=int(cols.test_sample_at[i]),
-            test_result_at=int(cols.test_result_at[i]),
-            test_positive=bool(cols.test_positive[i]),
-            den_test_due_at=int(cols.den_test_due_at[i]),
-        ))
-    return out
+    """One record per agent; ``.tolist()`` gives Python int, bool and float."""
+    values = [getattr(cols, name).tolist() for name in AGENT_COLUMNS]
+    return [NaiveAgent(i, *row) for i, row in enumerate(zip(*values))]
 
 
 class OracleSim:

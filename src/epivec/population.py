@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, checked, number, number_list
+from .errors import ConfigError, checked, in_range, number, number_list
 from . import rng as keyed
 from .rng import Purpose, substream
 from .stages import NEVER, N_AGE_BANDS, N_OCCUPATIONS, Stage
@@ -38,9 +38,7 @@ def _check_distribution(p, size: int, path: str) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.shape != (size,):
         raise ConfigError(f"{path}: expected {size} entries, got shape {arr.shape}")
-    if np.any(arr < 0):
-        bad = int(np.nonzero(arr < 0)[0][0])
-        raise ConfigError(f"{path}[{bad}]: negative probability")
+    in_range(path, arr, 0)
     if abs(arr.sum() - 1.0) > _DIST_TOL:
         raise ConfigError(f"{path}: probabilities sum to {arr.sum():.12g}, not 1")
     return arr
@@ -68,13 +66,11 @@ class PopulationSpec:
     rewire_beta: float = 0.1
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise ConfigError("population.n_agents must be >= 1")
+        in_range("population.n_agents", self.n_agents, 1)
         self.age_distribution = _check_distribution(
             self.age_distribution, N_AGE_BANDS, "population.age_distribution")
         self.household_sizes = np.asarray(self.household_sizes, dtype=np.int64)
-        if np.any(self.household_sizes < 1):
-            raise ConfigError("population.household_size_distribution.sizes: sizes must be >= 1")
+        in_range("population.household_size_distribution.sizes", self.household_sizes, 1)
         if np.any(self.household_sizes > MAX_HOUSEHOLD_SIZE):
             i = int(np.flatnonzero(self.household_sizes > MAX_HOUSEHOLD_SIZE)[0])
             raise ConfigError(
@@ -86,21 +82,20 @@ class PopulationSpec:
         self.occupation_distribution = _check_distribution(
             self.occupation_distribution, N_OCCUPATIONS,
             "population.occupation_distribution")
-        for b in self.occupation_eligible_bands:
-            if not 0 <= b < N_AGE_BANDS:
-                raise ConfigError(f"population.occupation_eligible_age_bands: band {b} out of range")
+        in_range("population.occupation_eligible_age_bands",
+                 self.occupation_eligible_bands, 0, N_AGE_BANDS - 1)
         self.random_degree_by_age = np.asarray(self.random_degree_by_age, dtype=np.float64)
         if self.random_degree_by_age.shape != (N_AGE_BANDS,):
             raise ConfigError(f"population.random_degree_by_age: need {N_AGE_BANDS} entries")
-        if np.any(self.random_degree_by_age < 0):
-            raise ConfigError("population.random_degree_by_age: negative mean")
+        in_range("population.random_degree_by_age", self.random_degree_by_age, 0)
         self.occupation_mean_interactions = np.asarray(
             self.occupation_mean_interactions, dtype=np.float64)
         if self.occupation_mean_interactions.shape != (N_OCCUPATIONS,):
             raise ConfigError("population.networks.occupation_mean_interactions: "
                               f"need {N_OCCUPATIONS} entries")
-        if not 0.0 <= self.rewire_beta <= 1.0:
-            raise ConfigError("population.networks.rewire_beta outside [0, 1]")
+        in_range("population.networks.occupation_mean_interactions",
+                 self.occupation_mean_interactions, 0)
+        in_range("population.networks.rewire_beta", self.rewire_beta, 0, 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PopulationSpec":
@@ -154,13 +149,10 @@ def synthesize(spec: PopulationSpec, seed: int) -> AgentColumns:
                                                       sizes)
 
     eligible = np.isin(cols.age_band, np.asarray(spec.occupation_eligible_bands, dtype=np.int8))
-    n_eligible = int(eligible.sum())
-    occ = np.zeros(n, dtype=np.int16)
-    if n_eligible:
-        occ[eligible] = rng.choice(
-            np.arange(1, N_OCCUPATIONS + 1), size=n_eligible,
-            p=spec.occupation_distribution).astype(np.int16)
-    cols.occupation[:] = occ
+    if eligible.any():   # everyone else keeps the column's initial 0
+        cols.occupation[eligible] = rng.choice(np.arange(1, N_OCCUPATIONS + 1),
+                                               size=int(eligible.sum()),
+                                               p=spec.occupation_distribution)
 
     cols.random_degree[:] = spec.random_degree_by_age[cols.age_band]
     return cols

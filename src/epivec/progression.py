@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, checked, number, number_list
+from .errors import ConfigError, checked, in_range, number, number_list
 from .stages import NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
 
 # Transitions the model allows.  SUSCEPTIBLE edges are entry branches taken at
@@ -176,9 +176,7 @@ class ProgressionTable:
             probs = np.asarray(number_list(e, "probability", where))
             if probs.shape != (N_AGE_BANDS,):
                 raise ConfigError(f"{where}.probability: need {N_AGE_BANDS} entries")
-            if np.any(probs < 0) or np.any(probs > 1):
-                band = int(np.nonzero((probs < 0) | (probs > 1))[0][0])
-                raise ConfigError(f"{where}.probability[{band}]: outside [0, 1]")
+            in_range(f"{where}.probability", probs, 0, 1)
             if src == Stage.SUSCEPTIBLE:
                 duration = None
                 if "duration" in e:

@@ -32,7 +32,7 @@ from .population import seed_infections, synthesize
 from .rng import Purpose
 from .scenario import ScenarioConfig
 from .stages import NEVER, Stage
-from .state import AgentColumns, DYNAMIC_COLUMNS
+from .state import AGENT_COLUMNS, AgentColumns
 
 SCHEMA = "epivec-timeseries-v1"
 STAGE_COLUMNS = [f"n_{s.name.lower()}" for s in Stage]
@@ -129,7 +129,7 @@ def _record_row(out: np.ndarray, row: int, cols: AgentColumns,
 
 
 def _replay(config: ScenarioConfig, seed: int, engine: bool = True,
-            oracle_disease=None, check_invariants: bool = True):
+            oracle_disease=None):
     """The replication loop: set up now, then return an iterator that per step
     realizes the graph from the dead mask and steps every simulator on it.
 
@@ -140,7 +140,7 @@ def _replay(config: ScenarioConfig, seed: int, engine: bool = True,
     """
     cols, realizer = initialize_run(config, seed)
     eng = Engine(cols, config.disease, config.progression, config.interventions,
-                 seed, check_invariants=check_invariants) if engine else None
+                 seed) if engine else None
     oracle = None
     if oracle_disease is not None:
         oracle = OracleSim(agents_from_columns(cols), oracle_disease,
@@ -265,7 +265,7 @@ def bench(config: ScenarioConfig, use_oracle: bool = False) -> BenchReport:
     """Throughput of one replication's step loop, set-up excluded;
     interactions = directed edges gathered."""
     seed = replication_seed(config.base_seed, 0)
-    steps = _replay(config, seed, engine=not use_oracle, check_invariants=False,
+    steps = _replay(config, seed, engine=not use_oracle,
                     oracle_disease=config.disease if use_oracle else None)
     interactions = 0
     t0 = time.perf_counter()
@@ -278,17 +278,18 @@ def bench(config: ScenarioConfig, use_oracle: bool = False) -> BenchReport:
 
 # -- engine/oracle equivalence ------------------------------------------------
 
-def verify_equivalence(config: ScenarioConfig, replication: int = 0,
-                       oracle_disease=None) -> int:
-    """Run engine and oracle in lockstep on identical inputs.
+def verify_equivalence(config: ScenarioConfig, oracle_disease=None) -> int:
+    """Run engine and oracle of replication 0 in lockstep on identical inputs,
+    comparing every agent column after every step.
 
     Returns the number of steps checked; raises VerificationDivergence at the
     first differing (step, agent, field).  ``oracle_disease`` substitutes the
     oracle's transmission parameters (the checker's own sanity test).
     """
     if config.population.n_agents > 2000:
-        raise ConfigError("verification runs on small scenarios (<= 2000 agents)")
-    seed = replication_seed(config.base_seed, replication)
+        raise ConfigError("population.n_agents: verification runs on at most 2000 "
+                          f"agents, got {config.population.n_agents}")
+    seed = replication_seed(config.base_seed, 0)
     for cols, oracle, graph, _ in _replay(
             config, seed, oracle_disease=oracle_disease or config.disease):
         _compare_states(graph.step, cols, oracle)
@@ -296,17 +297,13 @@ def verify_equivalence(config: ScenarioConfig, replication: int = 0,
 
 
 def _compare_states(step: int, cols: AgentColumns, oracle: OracleSim) -> None:
-    for field in DYNAMIC_COLUMNS:
-        engine_vals = getattr(cols, field)
-        oracle_vals = oracle.column(field)
-        if engine_vals.dtype == bool:
-            same = engine_vals == oracle_vals
-        elif np.issubdtype(engine_vals.dtype, np.floating):
-            same = (engine_vals == oracle_vals) | (np.isnan(engine_vals)
-                                                   & np.isnan(oracle_vals))
-        else:
-            same = engine_vals == oracle_vals.astype(engine_vals.dtype)
-        if not np.all(same):
-            agent = int(np.nonzero(~same)[0][0])
-            raise VerificationDivergence(step, agent, field,
-                                         engine_vals[agent], oracle_vals[agent])
+    """Every agent column, the oracle's cast to the engine's dtype; no column
+    holds NaN, so ``!=`` finds every difference."""
+    for name in AGENT_COLUMNS:
+        engine_vals = getattr(cols, name)
+        oracle_vals = oracle.column(name).astype(engine_vals.dtype)
+        differ = np.flatnonzero(engine_vals != oracle_vals)
+        if len(differ):
+            agent = int(differ[0])
+            raise VerificationDivergence(step, agent, name, engine_vals[agent],
+                                         oracle_vals[agent])

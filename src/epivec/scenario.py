@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, checked, number
+from .errors import ConfigError, checked, in_range, number
 from .interventions import (TEST_KINDS, DenConfig, ImmunityMode,
                             InterventionConfig, Strategy, STRATEGY_BY_NAME,
                             VaccinePolicy)
@@ -61,14 +61,10 @@ class ScenarioConfig:
     initial_infections: int = 10
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if self.initial_infections < 0:
-            raise ConfigError("initial_infections must be >= 0")
-        if self.initial_infections > self.population.n_agents:
-            raise ConfigError("initial_infections exceeds population size")
+        in_range("horizon", self.horizon, 1)
+        in_range("replications", self.replications, 1)
+        in_range("initial_infections", self.initial_infections, 0,
+                 self.population.n_agents)
 
 
 def _resolve_section(value, base_dir: Path, loader, default_dict):

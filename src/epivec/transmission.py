@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, checked, number, number_list
+from .errors import ConfigError, checked, in_range, number, number_list, positive
 from .stages import N_AGE_BANDS, N_NETWORK_KINDS, NetworkKind
 
 TAIL_EPS = 1e-6
@@ -39,6 +39,13 @@ _DISEASE_KEYS = ("schema_version", "comment", "provenance", "rate_scale",
                  "infectiousness_sd_days")
 
 
+def _infectiousness_curve(mean_days: float, sd_days: float):
+    """The gamma distribution of the given mean and sd, both checked > 0."""
+    positive("disease.infectiousness_mean_days", mean_days)
+    positive("disease.infectiousness_sd_days", sd_days)
+    return stats.gamma((mean_days / sd_days) ** 2, scale=sd_days * sd_days / mean_days)
+
+
 def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
     """Lookup table w[t] = F(t) - F(t-1) for t = 1..T_max; w[0] = 0.
 
@@ -46,13 +53,8 @@ def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
     curve for which that day is not finite or exceeds MAX_TAIL_DAY is a
     ConfigError, raised before the table is allocated.
     """
-    if mean_days <= 0 or sd_days <= 0:
-        raise ConfigError("infectiousness curve mean/sd must be positive, got "
-                          f"mean={mean_days}, sd={sd_days}")
     try:
-        shape = (mean_days / sd_days) ** 2
-        scale = sd_days * sd_days / mean_days
-        dist = stats.gamma(shape, scale=scale)
+        dist = _infectiousness_curve(mean_days, sd_days)
         with np.errstate(invalid="ignore", over="ignore"):
             t_max = int(math.ceil(dist.isf(TAIL_EPS)))
     except (OverflowError, ValueError):   # shape or tail day overflows, or is NaN
@@ -78,11 +80,7 @@ def day_weight(t: int, mean_days: float, sd_days: float) -> float:
     """
     if t < 1:
         raise ValueError(f"days since infection must be >= 1, got {t}")
-    if mean_days <= 0 or sd_days <= 0:
-        raise ConfigError("infectiousness curve mean/sd must be positive")
-    shape = (mean_days / sd_days) ** 2
-    scale = sd_days * sd_days / mean_days
-    dist = stats.gamma(shape, scale=scale)
+    dist = _infectiousness_curve(mean_days, sd_days)
     return float(dist.cdf(t) - dist.cdf(t - 1))
 
 
@@ -103,17 +101,17 @@ class DiseaseParams:
         self.age_susceptibility = np.asarray(self.age_susceptibility, dtype=np.float64)
         self.network_scale = np.asarray(self.network_scale, dtype=np.float64)
         if self.age_susceptibility.shape != (N_AGE_BANDS,):
-            raise ConfigError(f"age_susceptibility must have {N_AGE_BANDS} entries, "
-                              f"got {self.age_susceptibility.shape}")
+            raise ConfigError(f"disease.age_susceptibility: expected {N_AGE_BANDS} "
+                              f"entries, got shape {self.age_susceptibility.shape}")
         if self.network_scale.shape != (N_NETWORK_KINDS,):
-            raise ConfigError(f"network_scale must have {N_NETWORK_KINDS} entries")
-        for name in ("rate_scale", "asymptomatic_factor"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if np.any(self.age_susceptibility < 0) or np.any(self.network_scale < 0):
-            raise ConfigError("scale factors must be >= 0")
-        if self.mean_daily_interactions <= 0:
-            raise ConfigError("mean_daily_interactions must be positive")
+            raise ConfigError(f"disease.network_scale: expected {N_NETWORK_KINDS} "
+                              f"entries, got shape {self.network_scale.shape}")
+        in_range("disease.rate_scale", self.rate_scale, 0)
+        in_range("disease.asymptomatic_factor", self.asymptomatic_factor, 0)
+        in_range("disease.age_susceptibility", self.age_susceptibility, 0)
+        for name, scale in zip(_NETWORK_NAMES, self.network_scale):
+            in_range(f"disease.network_scale.{name}", scale, 0)
+        positive("disease.mean_daily_interactions", self.mean_daily_interactions)
         self.day_weights = day_weight_table(self.infectiousness_mean_days,
                                             self.infectiousness_sd_days)
 

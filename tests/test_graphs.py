@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from epivec import graphs
+from epivec.errors import InvariantViolation
 from epivec.graphs import (GraphRealizer, build_households, stub_pairing,
                            undirected_to_directed, watts_strogatz)
 from epivec.stages import NetworkKind
@@ -441,3 +443,15 @@ class TestRealizeStepGraph:
             for (s, d), (fs, fd) in zip(g.blocks, fresh.blocks):
                 assert s.tobytes() == fs.tobytes() and d.tobytes() == fd.tobytes()
         assert g.n_edges == 0
+
+    @pytest.mark.parametrize("builder", ["build_households", "stub_pairing"])
+    def test_self_pair_is_invariant_violation(self, monkeypatch, builder):
+        """A self-pair in the household block (checked once, when the live
+        block is derived) or in a step's random block stops the run."""
+        def self_pair(*args):
+            one = np.array([1], dtype=np.int32)
+            return one, one.copy()
+        monkeypatch.setattr(graphs, builder, self_pair)
+        r = make_realizer([0, 0, 1, 1], [0, 0, 0, 0], [2.0] * 4)
+        with pytest.raises(InvariantViolation, match="self-loop"):
+            r.realize(0, np.zeros(4, dtype=bool))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from epivec import runner
 from epivec.engine import Engine
 from epivec.interventions import STRATEGY_BY_NAME, TEST_KINDS, InterventionConfig
 from epivec.oracle import OracleSim, agents_from_columns
@@ -65,6 +66,21 @@ class TestReplayEquivalence:
             verify_equivalence(config, oracle_disease=perturbed)
         assert exc_info.value.step >= 0
         assert exc_info.value.field
+
+    @pytest.mark.parametrize("field, value", [("age_band", 8), ("household_id", -5)])
+    def test_checker_detects_corrupted_static_column(self, monkeypatch, field, value):
+        """Static columns are compared too, household_id included although
+        the oracle never reads it."""
+        def corrupted(cols):
+            agents = agents_from_columns(cols)
+            setattr(agents[3], field, value)
+            return agents
+        monkeypatch.setattr(runner, "agents_from_columns", corrupted)
+        config = small_scenario(n=150, horizon=5)
+        with pytest.raises(VerificationDivergence) as exc_info:
+            verify_equivalence(config)
+        assert (exc_info.value.step, exc_info.value.agent,
+                exc_info.value.field) == (0, 3, field)
 
     def test_equivalence_with_degenerate_dose_schedule(self):
         # second dose administered before the first dose's immunity check

@@ -288,6 +288,60 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected {problem},"):
             scenario_from_dict(with_sections(**d))
 
+    @pytest.mark.parametrize("d, path", [
+        ({"horizon": 0}, "horizon"),
+        ({"replications": 0}, "replications"),
+        ({"initial_infections": -1}, "initial_infections"),
+        ({"initial_infections": 10**6}, "initial_infections"),
+        ({"interventions": {"quarantine": {"duration": 0}}},
+         "interventions.quarantine.duration"),
+        ({"interventions": {"quarantine": {"dropout_prob": 2}}},
+         "interventions.quarantine.dropout_prob"),
+        ({"interventions": {"testing": {"false_positive_prob": 2}}},
+         "interventions.testing.false_positive_prob"),
+        ({"interventions": {"den": {"app_adoption": -0.5}}},
+         "interventions.den.app_adoption"),
+        ({"interventions": {"den": {"lookback": 0}}}, "interventions.den.lookback"),
+        ({"interventions": {"vaccination": {"daily_rate": 2}}},
+         "interventions.vaccination.daily_rate"),
+        ({"interventions": {"vaccination": {"dose_gap": 0}}},
+         "interventions.vaccination.dose_gap"),
+        ({"interventions": {"vaccination": {"dose1_latency": -1}}},
+         "interventions.vaccination.dose1_latency"),
+        ({"interventions": {"vaccination": {"dose2_latency": -1}}},
+         "interventions.vaccination.dose2_latency"),
+        ({"interventions": {"vaccination": {"elderly_band": 99}}},
+         "interventions.vaccination.elderly_band"),
+        ({"interventions": {"vaccination": {"elderly_band": -1}}},
+         "interventions.vaccination.elderly_band"),
+        ({"disease": {"rate_scale": -1}}, "disease.rate_scale"),
+        ({"disease": {"asymptomatic_factor": -1}}, "disease.asymptomatic_factor"),
+        ({"disease": {"mean_daily_interactions": 0}}, "disease.mean_daily_interactions"),
+        ({"disease": {"infectiousness_mean_days": 0}}, "disease.infectiousness_mean_days"),
+        ({"disease": {"infectiousness_sd_days": 0}}, "disease.infectiousness_sd_days"),
+        ({"disease": {"age_susceptibility": [1.0] * 8 + [-1]}},
+         "disease.age_susceptibility[8]"),
+        ({"disease": {"network_scale": {"household": 2.0, "occupation": 1.0,
+                                        "random": -1}}},
+         "disease.network_scale.random"),
+        ({"population": {"n_agents": 0}}, "population.n_agents"),
+        ({"population": {"random_degree_by_age": [2.0] * 8 + [-1]}},
+         "population.random_degree_by_age[8]"),
+        ({"population": {"occupation_eligible_age_bands": [2, 3, 12]}},
+         "population.occupation_eligible_age_bands[2]"),
+        ({"population": {"household_size_distribution": {
+            "sizes": [0, 2], "probabilities": [0.5, 0.5]}}},
+         "population.household_size_distribution.sizes[0]"),
+        ({"population": {"networks": {"occupation_mean_interactions":
+                                      [8.0] * 22 + [-1]}}},
+         "population.networks.occupation_mean_interactions[22]"),
+        ({"population": {"networks": {"rewire_beta": 1.5}}},
+         "population.networks.rewire_beta"),
+    ])
+    def test_out_of_range_value_names_its_path(self, d, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected "):
+            scenario_from_dict(with_sections(**d))
+
     def test_absent_interventions_take_the_dataclass_defaults(self):
         assert scenario_from_dict({}).interventions == InterventionConfig()
 
@@ -534,6 +588,17 @@ class TestCli:
             assert main(["simulate", "--scenario", str(bad),
                          "--out", str(tmp_path / "x")]) == 1, d
 
+    @pytest.mark.parametrize("block, path", [
+        ({"den": {"lookback": 0}}, "interventions.den.lookback"),
+        ({"vaccination": {"elderly_band": 99}}, "interventions.vaccination.elderly_band"),
+    ])
+    def test_range_error_exit_code_names_the_path(self, tmp_path, capsys, block, path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"horizon": 3, "interventions": block}))
+        assert main(["simulate", "--scenario", str(bad),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+
     @pytest.mark.parametrize("argv", [[], ["simulate"], ["frobnicate"],
                                       ["bench", "--agents", "many"]])
     def test_usage_error_exit_code(self, argv, capsys):
@@ -621,6 +686,8 @@ class TestCli:
     def test_verify_rejects_large_population(self, tmp_path, capsys):
         scenario = self.write_scenario(tmp_path, n=3000)
         assert main(["verify", "--scenario", str(scenario)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: population.n_agents: ")
 
     def test_compare_matched_seeds(self, tmp_path, capsys):
         a = self.write_scenario(tmp_path)

@@ -1,0 +1,98 @@
+"""The agent schema: ``AgentColumns`` declares each column once, and the
+allocation, the oracle's records and ``verify``'s column list follow it."""
+
+import dataclasses
+import typing
+
+import numpy as np
+import pytest
+
+from epivec.oracle import NaiveAgent, agents_from_columns
+from epivec.stages import NEVER, Stage, VaccineStatus
+from epivec.state import AGENT_COLUMNS, AgentColumns
+
+
+def explicit_allocate(n):
+    """The hand-written allocation the column declarations replaced."""
+    return AgentColumns(
+        n_agents=n,
+        age_band=np.zeros(n, dtype=np.int8),
+        occupation=np.zeros(n, dtype=np.int16),
+        household_id=np.zeros(n, dtype=np.int32),
+        random_degree=np.zeros(n, dtype=np.float64),
+        stage=np.full(n, int(Stage.SUSCEPTIBLE), dtype=np.int8),
+        infected_at=np.full(n, NEVER, dtype=np.int32),
+        next_transition_at=np.full(n, NEVER, dtype=np.int32),
+        next_stage=np.full(n, NEVER, dtype=np.int8),
+        quarantine_until=np.full(n, NEVER, dtype=np.int32),
+        quarantine_started_at=np.full(n, NEVER, dtype=np.int32),
+        has_den_app=np.zeros(n, dtype=bool),
+        vaccine_status=np.full(n, int(VaccineStatus.PRE_VACCINATION), dtype=np.int8),
+        dose1_at=np.full(n, NEVER, dtype=np.int32),
+        dose2_at=np.full(n, NEVER, dtype=np.int32),
+        immune=np.zeros(n, dtype=bool),
+        immunity_check_at=np.full(n, NEVER, dtype=np.int32),
+        immunity_check_prob=np.zeros(n, dtype=np.float64),
+        immunity_check_dose=np.zeros(n, dtype=np.int8),
+        test_sample_at=np.full(n, NEVER, dtype=np.int32),
+        test_result_at=np.full(n, NEVER, dtype=np.int32),
+        test_positive=np.zeros(n, dtype=bool),
+        den_test_due_at=np.full(n, NEVER, dtype=np.int32),
+    )
+
+
+def python_type(dtype):
+    """The type ``.tolist()`` gives for an element of ``dtype``."""
+    return type(np.zeros(1, dtype=dtype).tolist()[0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 17])
+def test_allocate_matches_explicit_reference(n):
+    got, want = AgentColumns.allocate(n), explicit_allocate(n)
+    assert got.n_agents == n
+    for f in dataclasses.fields(AgentColumns)[1:]:
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype, f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+def test_agent_columns_cover_every_array_field():
+    assert AGENT_COLUMNS == tuple(f.name for f in dataclasses.fields(AgentColumns)
+                                  if f.name != "n_agents")
+    assert AGENT_COLUMNS[:4] == ("age_band", "occupation", "household_id",
+                                 "random_degree")
+
+
+def test_naive_agent_fields_follow_the_schema():
+    assert tuple(f.name for f in dataclasses.fields(NaiveAgent)) \
+        == ("agent_id", *AGENT_COLUMNS)
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(NaiveAgent))
+    hints = typing.get_type_hints(NaiveAgent)
+    cols = AgentColumns.allocate(1)
+    assert hints["agent_id"] is int
+    for name in AGENT_COLUMNS:
+        assert hints[name] is python_type(getattr(cols, name).dtype), name
+
+
+def test_records_carry_python_scalars_of_every_column():
+    cols = AgentColumns.allocate(3)
+    cols.random_degree[:] = [0.5, 1.25, 3.0]
+    cols.immune[1] = True
+    cols.infected_at[2] = 7
+    agents = agents_from_columns(cols)
+    assert [a.agent_id for a in agents] == [0, 1, 2]
+    for name in AGENT_COLUMNS:
+        column = getattr(cols, name)
+        values = [getattr(a, name) for a in agents]
+        assert values == column.tolist(), name
+        assert all(type(v) is python_type(column.dtype) for v in values), name
+
+
+def test_copy_is_deep_and_complete():
+    cols = AgentColumns.allocate(4)
+    dup = cols.copy()
+    for name in AGENT_COLUMNS:
+        a, b = getattr(cols, name), getattr(dup, name)
+        assert a is not b and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    dup.stage[0] = int(Stage.DEAD)
+    assert cols.stage[0] == int(Stage.SUSCEPTIBLE)
