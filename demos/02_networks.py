@@ -16,9 +16,9 @@ pop_dict["n_agents"] = 20_000
 spec = PopulationSpec.from_dict(pop_dict)
 cols = synthesize(spec, seed=7)
 
-realizer = GraphRealizer(7, cols.household_id, cols.occupation,
-                         cols.random_degree, spec.occupation_mean_interactions,
-                         spec.rewire_beta)
+realizer = GraphRealizer(7, cols.household_id, cols.occupation, cols.random_degree,
+                         spec.networks.occupation_mean_interactions,
+                         spec.networks.rewire_beta)
 dead = np.zeros(cols.n_agents, dtype=bool)
 
 print("=== per-step graph, one edge block per network kind ===")

@@ -11,10 +11,12 @@ from .engine import Engine, StepEvents
 from .errors import (ConfigError, EpivecError, InvariantViolation,
                      VerificationDivergence)
 from .graphs import GraphRealizer, StepGraph, build_households, watts_strogatz
-from .interventions import (DenConfig, ImmunityMode, InterventionConfig,
-                            Strategy, TestKind, TEST_KINDS, VaccinePolicy)
+from .interventions import (DenConfig, DiagnosticPolicy, ImmunityMode,
+                            InterventionConfig, QuarantinePolicy, Strategy,
+                            TestKind, TEST_KINDS, VaccinePolicy)
 from .oracle import NaiveAgent, OracleSim, agents_from_columns
-from .population import PopulationSpec, seed_infections, synthesize
+from .population import (HouseholdSizes, Networks, PopulationSpec,
+                         seed_infections, synthesize)
 from .progression import ProgressionTable
 from .runner import (BenchReport, RunResult, bench, initialize_run,
                      replication_seed, run_replication, run_scenario,
@@ -28,10 +30,11 @@ from .transmission import (DiseaseParams, day_weight, day_weight_table,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentColumns", "BenchReport", "ConfigError", "DenConfig", "DiseaseParams",
-    "Engine", "EpivecError", "GraphRealizer", "ImmunityMode",
-    "InterventionConfig", "InvariantViolation", "NaiveAgent", "NetworkKind",
-    "OracleSim", "PopulationSpec", "ProgressionTable", "RunResult",
+    "AgentColumns", "BenchReport", "ConfigError", "DenConfig",
+    "DiagnosticPolicy", "DiseaseParams", "Engine", "EpivecError",
+    "GraphRealizer", "HouseholdSizes", "ImmunityMode", "InterventionConfig",
+    "InvariantViolation", "NaiveAgent", "NetworkKind", "Networks", "OracleSim",
+    "PopulationSpec", "ProgressionTable", "QuarantinePolicy", "RunResult",
     "ScenarioConfig", "Stage", "StepEvents", "StepGraph", "Strategy",
     "TestKind", "TEST_KINDS", "VaccinePolicy", "VaccineStatus",
     "VerificationDivergence", "agents_from_columns", "bench",

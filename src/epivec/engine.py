@@ -67,8 +67,8 @@ class Engine:
         self.vaccination_open = False
         self.contact_log = ContactLog(interventions.den.lookback,
                                       cols.has_den_app) \
-            if interventions.den_enabled else None
-        self._sterilizing = (interventions.vaccine.immunity_mode
+            if interventions.den.enabled else None
+        self._sterilizing = (interventions.vaccination.immunity_mode
                              == ImmunityMode.STERILIZING)
 
     # -- transmission -----------------------------------------------------
@@ -140,12 +140,12 @@ class Engine:
 
         self._phase_transmission(graph, ev)
         newly_symptomatic = self._phase_progression(ev)
-        if self.iv.testing_enabled:
+        if self.iv.testing.enabled:
             self._phase_test_sampling(newly_symptomatic, ev)
             self._phase_test_delivery(ev)
-        if self.iv.quarantine_enabled:
+        if self.iv.quarantine.enabled:
             self._phase_quarantine_dropout()
-        if self.iv.vaccination_enabled:
+        if self.iv.vaccination.enabled:
             self._phase_vaccination(ev)
 
         if self.contact_log is not None:
@@ -216,11 +216,11 @@ class Engine:
         ids = candidates[ok]
         if not len(ids):
             return
-        kind = self.iv.test_kind
+        kind = self.iv.testing.kind
         u_pos = uniforms(self.seed, step, Purpose.TEST_POSITIVE, ids)
         active = ACTIVE_INFECTION_STAGE[c.stage[ids]]
         positive = np.where(active, u_pos < kind.detection_prob,
-                            u_pos < self.iv.false_positive_prob)
+                            u_pos < self.iv.testing.false_positive_prob)
         u_turn = uniforms(self.seed, step, Purpose.TEST_TURNAROUND, ids)
         c.test_sample_at[ids] = step
         c.test_result_at[ids] = step + kind.turnaround(u_turn)
@@ -236,10 +236,10 @@ class Engine:
         positives = due[c.test_positive[due]]
         c.test_result_at[due] = NEVER
         c.test_positive[due] = False
-        if self.iv.quarantine_enabled and len(positives):
-            c.quarantine_until[positives] = step + self.iv.quarantine_duration
+        if self.iv.quarantine.enabled and len(positives):
+            c.quarantine_until[positives] = step + self.iv.quarantine.duration
             c.quarantine_started_at[positives] = step
-        if self.iv.den_enabled and len(positives):
+        if self.iv.den.enabled and len(positives):
             self._notify_contacts(positives, ev)
 
     def _notify_contacts(self, positives: np.ndarray, ev: StepEvents) -> None:
@@ -269,13 +269,13 @@ class Engine:
         if not len(q):
             return
         u = uniforms(self.seed, step, Purpose.QUARANTINE_DROPOUT, q)
-        leavers = q[u < self.iv.quarantine_dropout]
+        leavers = q[u < self.iv.quarantine.dropout_prob]
         c.quarantine_until[leavers] = step
 
     def _phase_vaccination(self, ev: StepEvents) -> None:
         c = self.cols
         step = self.clock
-        policy = self.iv.vaccine
+        policy = self.iv.vaccination
 
         due = np.nonzero(c.immunity_check_at == step)[0]
         for dose_k in (1, 2):

@@ -182,7 +182,7 @@ class GraphRealizer:
     def __init__(self, seed: int, household_id: np.ndarray,
                  occupation: np.ndarray, random_degree: np.ndarray,
                  occupation_mean_interactions: np.ndarray,
-                 rewire_beta: float = 0.1):
+                 rewire_beta: float):
         self.seed = seed
         self.n_agents = len(household_id)
         self.hh_src, self.hh_dst = build_households(household_id)

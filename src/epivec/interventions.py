@@ -11,12 +11,12 @@ return positive with ``false_positive_prob`` (0 by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum, unique
 
 import numpy as np
 
-from .errors import ConfigError, in_range
+from .errors import Config, ConfigError, setting
 from .graphs import StepGraph
 from .stages import N_AGE_BANDS
 
@@ -48,18 +48,6 @@ TEST_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class DenConfig:
-    app_adoption: float = 0.3
-    compliance_prob: float = 0.8
-    lookback: int = 7
-
-    def __post_init__(self):
-        in_range("interventions.den.app_adoption", self.app_adoption, 0, 1)
-        in_range("interventions.den.compliance_prob", self.compliance_prob, 0, 1)
-        in_range("interventions.den.lookback", self.lookback, 1)
-
-
 @unique
 class Strategy(IntEnum):
     STANDARD_DOSING = 0
@@ -80,29 +68,54 @@ class ImmunityMode(IntEnum):
     NON_STERILIZING = 1
 
 
-@dataclass(frozen=True)
-class VaccinePolicy:
-    strategy: Strategy = Strategy.STANDARD_DOSING
-    dose1_efficacy: float = 0.8
-    dose2_efficacy: float = 0.95
-    dose1_latency: int = 12       # days until first-dose immunity resolves
-    dose2_latency: int = 0        # extra days after the second dose
-    dose_gap: int = 21            # days before second-dose eligibility
-    daily_rate: float = 0.003     # fraction of the population dosed per day
-    start_trigger: float = 0.01   # currently-infected fraction that opens the campaign
-    immunity_mode: ImmunityMode = ImmunityMode.STERILIZING
-    elderly_band: int = 6         # age bands >= this stay on schedule under
-                                  # the delayed-except-elderly strategy (61+,
-                                  # the closest band boundary to "above 65")
+IMMUNITY_MODE_BY_NAME = {
+    "sterilizing": ImmunityMode.STERILIZING,
+    "non-sterilizing": ImmunityMode.NON_STERILIZING,
+}
 
-    def __post_init__(self):
-        where = "interventions.vaccination"
-        for name in ("dose1_efficacy", "dose2_efficacy", "daily_rate", "start_trigger"):
-            in_range(f"{where}.{name}", getattr(self, name), 0, 1)
-        in_range(f"{where}.dose1_latency", self.dose1_latency, 0)
-        in_range(f"{where}.dose2_latency", self.dose2_latency, 0)
-        in_range(f"{where}.dose_gap", self.dose_gap, 1)
-        in_range(f"{where}.elderly_band", self.elderly_band, 0, N_AGE_BANDS - 1)
+
+@dataclass(frozen=True)
+class QuarantinePolicy(Config):
+    PATH = "interventions.quarantine"
+    enabled: bool = setting(bool, False)
+    duration: int = setting(int, 14, lo=1)
+    dropout_prob: float = setting(float, 0.05, lo=0, hi=1)
+
+
+@dataclass(frozen=True)
+class DiagnosticPolicy(Config):
+    PATH = "interventions.testing"
+    enabled: bool = setting(bool, False)
+    kind: TestKind = setting(TEST_KINDS, TEST_KINDS["rt-pcr"])
+    false_positive_prob: float = setting(float, 0.0, lo=0, hi=1)
+
+
+@dataclass(frozen=True)
+class DenConfig(Config):
+    PATH = "interventions.den"
+    enabled: bool = setting(bool, False)
+    app_adoption: float = setting(float, 0.3, lo=0, hi=1)
+    compliance_prob: float = setting(float, 0.8, lo=0, hi=1)
+    lookback: int = setting(int, 7, lo=1)
+
+
+@dataclass(frozen=True)
+class VaccinePolicy(Config):
+    PATH = "interventions.vaccination"
+    enabled: bool = setting(bool, False)
+    strategy: Strategy = setting(STRATEGY_BY_NAME, Strategy.STANDARD_DOSING)
+    dose1_efficacy: float = setting(float, 0.8, lo=0, hi=1)
+    dose2_efficacy: float = setting(float, 0.95, lo=0, hi=1)
+    dose1_latency: int = setting(int, 12, lo=0)   # days until dose-1 immunity resolves
+    dose2_latency: int = setting(int, 0, lo=0)    # extra days after the second dose
+    dose_gap: int = setting(int, 21, lo=1)        # days before second-dose eligibility
+    daily_rate: float = setting(float, 0.003, lo=0, hi=1)  # population share dosed a day
+    # currently-infected fraction that opens the campaign
+    start_trigger: float = setting(float, 0.01, lo=0, hi=1)
+    immunity_mode: ImmunityMode = setting(IMMUNITY_MODE_BY_NAME, ImmunityMode.STERILIZING)
+    # age bands >= this stay on schedule under the delayed-except-elderly
+    # strategy (61+, the closest band boundary to "above 65")
+    elderly_band: int = setting(int, 6, lo=0, hi=N_AGE_BANDS - 1)
 
     def doses_per_day(self, n_agents: int) -> int:
         return int(np.rint(self.daily_rate * n_agents))
@@ -188,25 +201,20 @@ class ContactLog:
 
 
 @dataclass
-class InterventionConfig:
-    """Intervention block of a scenario."""
+class InterventionConfig(Config):
+    """Intervention block of a scenario: one policy per JSON object, each
+    with its own ``enabled``.  A new key is declared once, with ``setting``,
+    in its policy class."""
 
-    quarantine_enabled: bool = False
-    quarantine_duration: int = 14
-    quarantine_dropout: float = 0.05
-    testing_enabled: bool = False
-    test_kind: TestKind = field(default_factory=lambda: TEST_KINDS["rt-pcr"])
-    false_positive_prob: float = 0.0
-    den_enabled: bool = False
-    den: DenConfig = field(default_factory=DenConfig)
-    vaccination_enabled: bool = False
-    vaccine: VaccinePolicy = field(default_factory=VaccinePolicy)
+    PATH = "interventions"
+
+    quarantine: QuarantinePolicy = setting(QuarantinePolicy, QuarantinePolicy)
+    testing: DiagnosticPolicy = setting(DiagnosticPolicy, DiagnosticPolicy)
+    den: DenConfig = setting(DenConfig, DenConfig)
+    vaccination: VaccinePolicy = setting(VaccinePolicy, VaccinePolicy)
 
     def __post_init__(self):
-        in_range("interventions.quarantine.duration", self.quarantine_duration, 1)
-        in_range("interventions.quarantine.dropout_prob", self.quarantine_dropout, 0, 1)
-        in_range("interventions.testing.false_positive_prob",
-                 self.false_positive_prob, 0, 1)
-        if self.den_enabled and not self.testing_enabled:
+        super().__post_init__()
+        if self.den.enabled and not self.testing.enabled:
             raise ConfigError("interventions.den.enabled: exposure notification "
                               "requires testing enabled")

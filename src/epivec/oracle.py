@@ -89,7 +89,7 @@ class OracleSim:
         self.clock = 0
         self.vaccination_open = False
         self.contact_history: list[list[tuple[int, int]]] = []
-        self._sterilizing = (interventions.vaccine.immunity_mode
+        self._sterilizing = (interventions.vaccination.immunity_mode
                              == ImmunityMode.STERILIZING)
 
     # -- helpers -----------------------------------------------------------
@@ -131,15 +131,15 @@ class OracleSim:
 
         newly_infected = self._transmission(graph, step)
         newly_symptomatic = self._progression(step)
-        if self.iv.testing_enabled:
+        if self.iv.testing.enabled:
             self._test_sampling(newly_symptomatic, step)
             self._test_delivery(step)
-        if self.iv.quarantine_enabled:
+        if self.iv.quarantine.enabled:
             self._quarantine_dropout(step)
-        if self.iv.vaccination_enabled:
+        if self.iv.vaccination.enabled:
             self._vaccination(step)
 
-        if self.iv.den_enabled:
+        if self.iv.den.enabled:
             edges = [(int(srcs[e]), int(dsts[e]))
                      for srcs, dsts in graph.blocks for e in range(len(srcs))]
             self.contact_history.append(edges)
@@ -212,7 +212,7 @@ class OracleSim:
         for i in due_den:
             self.agents[i].den_test_due_at = NEVER
         candidates = sorted(set(newly_symptomatic) | set(due_den))
-        kind = self.iv.test_kind
+        kind = self.iv.testing.kind
         for i in candidates:
             a = self.agents[i]
             if a.test_result_at != NEVER or a.stage == int(Stage.DEAD):
@@ -221,7 +221,7 @@ class OracleSim:
             if ACTIVE_INFECTION_STAGE[a.stage]:
                 positive = u_pos < kind.detection_prob
             else:
-                positive = u_pos < self.iv.false_positive_prob
+                positive = u_pos < self.iv.testing.false_positive_prob
             u_turn = uniform(self.seed, step, Purpose.TEST_TURNAROUND, i)
             a.test_sample_at = step
             a.test_result_at = step + kind.turnaround(u_turn)
@@ -236,12 +236,12 @@ class OracleSim:
                 positives.append(a.agent_id)
             a.test_result_at = NEVER
             a.test_positive = False
-        if self.iv.quarantine_enabled:
+        if self.iv.quarantine.enabled:
             for i in positives:
                 a = self.agents[i]
-                a.quarantine_until = step + self.iv.quarantine_duration
+                a.quarantine_until = step + self.iv.quarantine.duration
                 a.quarantine_started_at = step
-        if self.iv.den_enabled and positives:
+        if self.iv.den.enabled and positives:
             self._notify_contacts(positives, step)
 
     def _notify_contacts(self, positives: list[int], step: int) -> None:
@@ -265,11 +265,11 @@ class OracleSim:
         for a in self.agents:
             if a.quarantine_until > step and a.quarantine_started_at < step:
                 u = uniform(self.seed, step, Purpose.QUARANTINE_DROPOUT, a.agent_id)
-                if u < self.iv.quarantine_dropout:
+                if u < self.iv.quarantine.dropout_prob:
                     a.quarantine_until = step
 
     def _vaccination(self, step: int) -> None:
-        policy = self.iv.vaccine
+        policy = self.iv.vaccination
         for a in self.agents:
             if a.immunity_check_at == step:
                 self._realize_immunity(a, step)

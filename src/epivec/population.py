@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, checked, in_range, number, number_list
+from .errors import Config, ConfigError, setting
 from . import rng as keyed
 from .rng import Purpose, substream
 from .stages import NEVER, N_AGE_BANDS, N_OCCUPATIONS, Stage
@@ -29,99 +29,74 @@ _DIST_TOL = 1e-9
 # built before step 0 and kept for the run: a size of 10^5 alone would ask
 # for 10^10 edges.  1,000 members is 999,000 edges (8 MB of int32 pairs).
 MAX_HOUSEHOLD_SIZE = 1000
-_POPULATION_KEYS = ("schema_version", "comment", "n_agents", "age_distribution",
-                    "household_size_distribution", "occupation_distribution",
-                    "occupation_eligible_age_bands", "random_degree_by_age", "networks")
 
 
-def _check_distribution(p, size: int, path: str) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.shape != (size,):
-        raise ConfigError(f"{path}: expected {size} entries, got shape {arr.shape}")
-    in_range(path, arr, 0)
-    if abs(arr.sum() - 1.0) > _DIST_TOL:
-        raise ConfigError(f"{path}: probabilities sum to {arr.sum():.12g}, not 1")
-    return arr
+def _check_sum(p: np.ndarray, path: str) -> None:
+    if abs(p.sum() - 1.0) > _DIST_TOL:
+        raise ConfigError(f"{path}: probabilities sum to {p.sum():.12g}, not 1")
 
 
 @dataclass
-class PopulationSpec:
-    """Population distributions.
+class HouseholdSizes(Config):
+    """Candidate household sizes, each at most ``MAX_HOUSEHOLD_SIZE``, and
+    their probabilities."""
+
+    PATH = "population.household_size_distribution"
+
+    sizes: np.ndarray = setting(int, lo=1, size=...)
+    probabilities: np.ndarray = setting(float, lo=0, size=...)
+
+    def __post_init__(self):
+        super().__post_init__()
+        too_big = np.flatnonzero(self.sizes > MAX_HOUSEHOLD_SIZE)
+        if len(too_big):
+            raise ConfigError(
+                f"{self.PATH}.sizes[{too_big[0]}]: expected a size of at most "
+                f"{MAX_HOUSEHOLD_SIZE}, got {self.sizes[too_big[0]]}")
+        if len(self.probabilities) != len(self.sizes):
+            raise ConfigError(f"{self.PATH}.probabilities: expected {len(self.sizes)} "
+                              f"entries, got {len(self.probabilities)}")
+        _check_sum(self.probabilities, f"{self.PATH}.probabilities")
+
+
+@dataclass
+class Networks(Config):
+    """Mean daily interactions per occupation, Watts-Strogatz rewiring."""
+
+    PATH = "population.networks"
+
+    occupation_mean_interactions: np.ndarray = setting(
+        float, (8.0,) * N_OCCUPATIONS, lo=0, size=N_OCCUPATIONS)
+    rewire_beta: float = setting(float, 0.1, lo=0, hi=1)
+
+
+@dataclass
+class PopulationSpec(Config):
+    """Population distributions.  A new key is declared once, with
+    ``setting``, in this class or the sub-object it belongs to.
 
     ``n_agents`` has no upper bound beyond the int32 agent ids: every
     per-agent cost is linear in it (70 bytes of agent columns, plus each
     step's edges), so the machine's memory bounds it long before the ids do.
-    Household sizes are bounded by ``MAX_HOUSEHOLD_SIZE``, since a
-    household's edges grow with the square of its size.
     """
 
-    n_agents: int
-    age_distribution: np.ndarray             # 9 probabilities
-    household_sizes: np.ndarray              # candidate sizes
-    household_size_probs: np.ndarray
-    occupation_distribution: np.ndarray      # 23 probabilities
-    occupation_eligible_bands: tuple         # age bands that can be employed
-    random_degree_by_age: np.ndarray         # 9 means
-    occupation_mean_interactions: np.ndarray  # 23 per-occupation means
-    rewire_beta: float = 0.1
+    PATH = "population"
+    NOTES = ("schema_version", "comment")
+
+    n_agents: int = setting(int, lo=1)
+    age_distribution: np.ndarray = setting(float, lo=0, size=N_AGE_BANDS)
+    household_size_distribution: HouseholdSizes = setting(HouseholdSizes)
+    occupation_distribution: np.ndarray = setting(float, lo=0, size=N_OCCUPATIONS)
+    # the age bands that can be employed
+    occupation_eligible_age_bands: np.ndarray = setting(int, lo=0, hi=N_AGE_BANDS - 1,
+                                                        size=...)
+    random_degree_by_age: np.ndarray = setting(float, lo=0, size=N_AGE_BANDS)  # means
+    networks: Networks = setting(Networks, Networks)
 
     def __post_init__(self):
-        in_range("population.n_agents", self.n_agents, 1)
-        self.age_distribution = _check_distribution(
-            self.age_distribution, N_AGE_BANDS, "population.age_distribution")
-        self.household_sizes = np.asarray(self.household_sizes, dtype=np.int64)
-        in_range("population.household_size_distribution.sizes", self.household_sizes, 1)
-        if np.any(self.household_sizes > MAX_HOUSEHOLD_SIZE):
-            i = int(np.flatnonzero(self.household_sizes > MAX_HOUSEHOLD_SIZE)[0])
-            raise ConfigError(
-                f"population.household_size_distribution.sizes[{i}]: expected a "
-                f"size of at most {MAX_HOUSEHOLD_SIZE}, got {self.household_sizes[i]}")
-        self.household_size_probs = _check_distribution(
-            self.household_size_probs, len(self.household_sizes),
-            "population.household_size_distribution.probabilities")
-        self.occupation_distribution = _check_distribution(
-            self.occupation_distribution, N_OCCUPATIONS,
-            "population.occupation_distribution")
-        in_range("population.occupation_eligible_age_bands",
-                 self.occupation_eligible_bands, 0, N_AGE_BANDS - 1)
-        self.random_degree_by_age = np.asarray(self.random_degree_by_age, dtype=np.float64)
-        if self.random_degree_by_age.shape != (N_AGE_BANDS,):
-            raise ConfigError(f"population.random_degree_by_age: need {N_AGE_BANDS} entries")
-        in_range("population.random_degree_by_age", self.random_degree_by_age, 0)
-        self.occupation_mean_interactions = np.asarray(
-            self.occupation_mean_interactions, dtype=np.float64)
-        if self.occupation_mean_interactions.shape != (N_OCCUPATIONS,):
-            raise ConfigError("population.networks.occupation_mean_interactions: "
-                              f"need {N_OCCUPATIONS} entries")
-        in_range("population.networks.occupation_mean_interactions",
-                 self.occupation_mean_interactions, 0)
-        in_range("population.networks.rewire_beta", self.rewire_beta, 0, 1)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PopulationSpec":
-        checked(d, _POPULATION_KEYS, "population")
-        hh_path = "population.household_size_distribution"
-        hh = checked(d.get("household_size_distribution"), ("sizes", "probabilities"),
-                     hh_path)
-        networks = checked(d.get("networks", {}),
-                           ("occupation_mean_interactions", "rewire_beta"),
-                           "population.networks")
-        return cls(
-            n_agents=number(d, "n_agents", "population", kind=int),
-            age_distribution=number_list(d, "age_distribution", "population"),
-            household_sizes=number_list(hh, "sizes", hh_path, kind=int),
-            household_size_probs=number_list(hh, "probabilities", hh_path),
-            occupation_distribution=number_list(d, "occupation_distribution",
-                                                "population"),
-            occupation_eligible_bands=tuple(number_list(
-                d, "occupation_eligible_age_bands", "population", kind=int)),
-            random_degree_by_age=number_list(d, "random_degree_by_age", "population"),
-            occupation_mean_interactions=number_list(
-                networks, "occupation_mean_interactions", "population.networks",
-                [8.0] * N_OCCUPATIONS),
-            rewire_beta=number(networks, "rewire_beta", "population.networks",
-                               cls.rewire_beta),
-        )
+        super().__post_init__()
+        _check_sum(self.age_distribution, "population.age_distribution")
+        _check_sum(self.occupation_distribution, "population.occupation_distribution")
 
 
 def synthesize(spec: PopulationSpec, seed: int) -> AgentColumns:
@@ -140,15 +115,16 @@ def synthesize(spec: PopulationSpec, seed: int) -> AgentColumns:
     # last.  Sizes are at least 1, so n draws on a copy of the generator find
     # the count k that covers n; the real generator then draws exactly k, the
     # same values as k single draws.
-    trial = copy.deepcopy(rng).choice(spec.household_sizes, size=n,
-                                      p=spec.household_size_probs)
+    households = spec.household_size_distribution
+    trial = copy.deepcopy(rng).choice(households.sizes, size=n,
+                                      p=households.probabilities)
     k = int(np.searchsorted(np.cumsum(trial), n)) + 1
-    sizes = rng.choice(spec.household_sizes, size=k, p=spec.household_size_probs)
+    sizes = rng.choice(households.sizes, size=k, p=households.probabilities)
     sizes[-1] -= sizes.sum() - n
     cols.household_id[rng.permutation(n)] = np.repeat(np.arange(k, dtype=np.int32),
                                                       sizes)
 
-    eligible = np.isin(cols.age_band, np.asarray(spec.occupation_eligible_bands, dtype=np.int8))
+    eligible = np.isin(cols.age_band, spec.occupation_eligible_age_bands.astype(np.int8))
     if eligible.any():   # everyone else keeps the column's initial 0
         cols.occupation[eligible] = rng.choice(np.arange(1, N_OCCUPATIONS + 1),
                                                size=int(eligible.sum()),

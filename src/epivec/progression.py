@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, checked, in_range, number, number_list
+from .errors import ConfigError, Setting, checked, positive
 from .stages import NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
 
 # Transitions the model allows.  SUSCEPTIBLE edges are entry branches taken at
@@ -37,6 +37,7 @@ LEGAL_EDGES = {
 # Each duration family's parameters; all but a lognormal's mu must be positive.
 _DURATION_PARAMS = {"gamma": ("mean", "sd"), "lognormal": ("mu", "sigma"),
                    "constant": ("days",)}
+_PROBABILITY = Setting(float, lo=0, hi=1, size=N_AGE_BANDS)   # one per age band
 
 
 @dataclass(frozen=True)
@@ -65,15 +66,12 @@ class DurationSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "DurationSpec":
         family = d.get("family") if isinstance(d, dict) else None
-        if not isinstance(family, str) or family not in _DURATION_PARAMS:
-            raise ConfigError(f"{where}.family: unknown duration family {family!r}; "
-                              f"expected one of {sorted(_DURATION_PARAMS)}")
-        names = _DURATION_PARAMS[family]
+        names = Setting(_DURATION_PARAMS).parse(family, f"{where}.family")
         checked(d, ("family", *names), where)
-        params = tuple(number(d, name, where) for name in names)
+        params = tuple(Setting(float).parse(d.get(name), f"{where}.{name}") for name in names)
         for name, value in zip(names, params):
-            if value <= 0 and name != "mu":
-                raise ConfigError(f"{where}.{name}: must be positive, got {value!r}")
+            if name != "mu":
+                positive(f"{where}.{name}", value)
         return cls(family, params)
 
 
@@ -173,10 +171,9 @@ class ProgressionTable:
                                   f"{e.get('from')!r} -> {e.get('to')!r}") from err
             if src not in LEGAL_EDGES or dst not in LEGAL_EDGES[src]:
                 raise ConfigError(f"{where}: illegal transition {src!s} -> {dst!s}")
-            probs = np.asarray(number_list(e, "probability", where))
-            if probs.shape != (N_AGE_BANDS,):
-                raise ConfigError(f"{where}.probability: need {N_AGE_BANDS} entries")
-            in_range(f"{where}.probability", probs, 0, 1)
+            probs = _PROBABILITY.check(
+                _PROBABILITY.parse(e.get("probability"), f"{where}.probability"),
+                f"{where}.probability")
             if src == Stage.SUSCEPTIBLE:
                 duration = None
                 if "duration" in e:

@@ -102,7 +102,7 @@ def initialize_run(config: ScenarioConfig, seed: int
     """Population synthesis, initial infections, app assignment, graph realizer."""
     cols = synthesize(config.population, seed)
     seed_infections(cols, config.initial_infections, seed, config.progression)
-    if config.interventions.den_enabled:
+    if config.interventions.den.enabled:
         u = keyed.uniforms(seed, 0, Purpose.DEN_APP,
                            np.arange(cols.n_agents, dtype=np.int64))
         cols.has_den_app[:] = u < config.interventions.den.app_adoption
@@ -111,8 +111,8 @@ def initialize_run(config: ScenarioConfig, seed: int
         cols.household_id,
         cols.occupation,
         cols.random_degree,
-        config.population.occupation_mean_interactions,
-        config.population.rewire_beta,
+        config.population.networks.occupation_mean_interactions,
+        config.population.networks.rewire_beta,
     )
     return cols, realizer
 

@@ -27,16 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, checked, in_range, number, number_list, positive
-from .stages import N_AGE_BANDS, N_NETWORK_KINDS, NetworkKind
+from .errors import Config, ConfigError, positive, setting
+from .stages import N_AGE_BANDS, NetworkKind
 
 TAIL_EPS = 1e-6
 MAX_TAIL_DAY = 3650   # ten years; mean = sd = 100 days ends on day 1,382
 _NETWORK_NAMES = tuple(kind.name.lower() for kind in NetworkKind)
-_DISEASE_KEYS = ("schema_version", "comment", "provenance", "rate_scale",
-                 "age_susceptibility", "asymptomatic_factor", "network_scale",
-                 "mean_daily_interactions", "infectiousness_mean_days",
-                 "infectiousness_sd_days")
 
 
 def _infectiousness_curve(mean_days: float, sd_days: float):
@@ -85,32 +81,24 @@ def day_weight(t: int, mean_days: float, sd_days: float) -> float:
 
 
 @dataclass
-class DiseaseParams:
-    """All transmission scale factors plus the precomputed day-weight table."""
+class DiseaseParams(Config):
+    """All transmission scale factors plus the precomputed day-weight table.
+    A new key is declared once, with ``setting``."""
 
-    rate_scale: float                      # overall infection-rate scale
-    age_susceptibility: np.ndarray         # per 9 age bands
-    asymptomatic_factor: float             # source not (yet) symptomatic
-    network_scale: np.ndarray              # per network kind [household, occupation, random]
-    mean_daily_interactions: float         # normalizer
-    infectiousness_mean_days: float
-    infectiousness_sd_days: float
+    PATH = "disease"
+    NOTES = ("schema_version", "comment", "provenance")
+
+    rate_scale: float = setting(float, lo=0)          # overall infection-rate scale
+    age_susceptibility: np.ndarray = setting(float, lo=0, size=N_AGE_BANDS)
+    asymptomatic_factor: float = setting(float, lo=0)  # source not (yet) symptomatic
+    network_scale: np.ndarray = setting(float, lo=0, size=_NETWORK_NAMES)
+    mean_daily_interactions: float = setting(float)   # normalizer, > 0
+    infectiousness_mean_days: float = setting(float)  # > 0
+    infectiousness_sd_days: float = setting(float)    # > 0
     day_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.age_susceptibility = np.asarray(self.age_susceptibility, dtype=np.float64)
-        self.network_scale = np.asarray(self.network_scale, dtype=np.float64)
-        if self.age_susceptibility.shape != (N_AGE_BANDS,):
-            raise ConfigError(f"disease.age_susceptibility: expected {N_AGE_BANDS} "
-                              f"entries, got shape {self.age_susceptibility.shape}")
-        if self.network_scale.shape != (N_NETWORK_KINDS,):
-            raise ConfigError(f"disease.network_scale: expected {N_NETWORK_KINDS} "
-                              f"entries, got shape {self.network_scale.shape}")
-        in_range("disease.rate_scale", self.rate_scale, 0)
-        in_range("disease.asymptomatic_factor", self.asymptomatic_factor, 0)
-        in_range("disease.age_susceptibility", self.age_susceptibility, 0)
-        for name, scale in zip(_NETWORK_NAMES, self.network_scale):
-            in_range(f"disease.network_scale.{name}", scale, 0)
+        super().__post_init__()
         positive("disease.mean_daily_interactions", self.mean_daily_interactions)
         self.day_weights = day_weight_table(self.infectiousness_mean_days,
                                             self.infectiousness_sd_days)
@@ -118,21 +106,6 @@ class DiseaseParams:
     @property
     def t_max(self) -> int:
         return len(self.day_weights) - 1
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiseaseParams":
-        checked(d, _DISEASE_KEYS, "disease")
-        net = checked(d.get("network_scale"), _NETWORK_NAMES, "disease.network_scale")
-        return cls(
-            rate_scale=number(d, "rate_scale", "disease"),
-            age_susceptibility=number_list(d, "age_susceptibility", "disease"),
-            asymptomatic_factor=number(d, "asymptomatic_factor", "disease"),
-            network_scale=[number(net, name, "disease.network_scale")
-                           for name in _NETWORK_NAMES],
-            mean_daily_interactions=number(d, "mean_daily_interactions", "disease"),
-            infectiousness_mean_days=number(d, "infectiousness_mean_days", "disease"),
-            infectiousness_sd_days=number(d, "infectiousness_sd_days", "disease"),
-        )
 
 
 def edge_hazard(t: int, source_asymptomatic: bool, target_age_band: int,

@@ -263,7 +263,7 @@ class TestGatherMatchesReference:
             infectiousness_mean_days=5.0,
             infectiousness_sd_days=2.0)
         mode = ImmunityMode.STERILIZING if sterilizing else ImmunityMode.NON_STERILIZING
-        iv = InterventionConfig(vaccine=VaccinePolicy(immunity_mode=mode))
+        iv = InterventionConfig(vaccination=VaccinePolicy(immunity_mode=mode))
         engine = Engine(cols, disease, simple_table(), iv, seed=0)
         engine.clock = step
         return engine

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from epivec.engine import Engine
 from epivec.errors import ConfigError
 from epivec.graphs import StepGraph
-from epivec.interventions import (ContactLog, DenConfig, ImmunityMode,
-                                  InterventionConfig, Strategy,
-                                  TEST_KINDS, VaccinePolicy, priority_sort_key)
+from epivec.interventions import (ContactLog, DenConfig, DiagnosticPolicy,
+                                  ImmunityMode, InterventionConfig,
+                                  QuarantinePolicy, Strategy, TEST_KINDS,
+                                  VaccinePolicy, priority_sort_key)
 from epivec.interventions import TestKind as DiagnosticKind
 from epivec.progression import ProgressionTable
 from epivec.rng import Purpose, uniforms
@@ -163,8 +164,8 @@ def quarantine_engine(dropout, n=1, seed=0):
     cols.next_stage[0] = int(Stage.MILD_SYMPTOMATIC)
     cols.next_transition_at[0] = 2
     iv = InterventionConfig(
-        quarantine_enabled=True, quarantine_dropout=dropout,
-        testing_enabled=True, test_kind=SURE_TEST)
+        quarantine=QuarantinePolicy(enabled=True, dropout_prob=dropout),
+        testing=DiagnosticPolicy(enabled=True, kind=SURE_TEST))
     return cols, Engine(cols, flat_disease(), simple_table(), iv, seed)
 
 
@@ -200,8 +201,8 @@ class TestQuarantine:
         cols.stage[0] = int(Stage.MILD_SYMPTOMATIC)
         cols.infected_at[0] = 0
         cols.quarantine_until[0] = 100
-        iv = InterventionConfig(quarantine_enabled=True, testing_enabled=True,
-                                test_kind=SURE_TEST)
+        iv = InterventionConfig(quarantine=QuarantinePolicy(enabled=True),
+                                testing=DiagnosticPolicy(enabled=True, kind=SURE_TEST))
         engine = Engine(cols, flat_disease(), simple_table(), iv, seed=0)
         engine.clock = 5
         graph = step_graph(5, np.array([0, 1], dtype=np.int32),
@@ -229,10 +230,10 @@ class TestQuarantine:
 
 def den_intervention(adoption=1.0, compliance=1.0, lookback=7):
     return InterventionConfig(
-        quarantine_enabled=True, testing_enabled=True, test_kind=SURE_TEST,
-        den_enabled=True,
-        den=DenConfig(app_adoption=adoption, compliance_prob=compliance,
-                      lookback=lookback))
+        quarantine=QuarantinePolicy(enabled=True),
+        testing=DiagnosticPolicy(enabled=True, kind=SURE_TEST),
+        den=DenConfig(enabled=True, app_adoption=adoption,
+                      compliance_prob=compliance, lookback=lookback))
 
 
 def pair_graph(step, a, b, n_edges_dtype=np.int32):
@@ -378,8 +379,7 @@ class TestVaccination:
                         daily_rate=0.5, start_trigger=0.0,
                         immunity_mode=ImmunityMode.STERILIZING)
         defaults.update(overrides)
-        return InterventionConfig(vaccination_enabled=True,
-                                  vaccine=VaccinePolicy(**defaults))
+        return InterventionConfig(vaccination=VaccinePolicy(enabled=True, **defaults))
 
     def test_daily_budget_never_exceeded(self):
         cols = blank_state(100)
@@ -460,9 +460,8 @@ class TestVaccination:
         cols.immune[1:] = True      # realized non-sterilizing immunity
         cols.vaccine_status[1:] = int(VaccineStatus.FIRST_DOSE)
         iv = InterventionConfig(
-            vaccination_enabled=True,
-            vaccine=VaccinePolicy(immunity_mode=ImmunityMode.NON_STERILIZING,
-                                  daily_rate=0.0))
+            vaccination=VaccinePolicy(enabled=True, daily_rate=0.0,
+                                      immunity_mode=ImmunityMode.NON_STERILIZING))
         # simple_table() sends every non-immune infection to the mild branch,
         # so any asymptomatic entry proves the override fired
         engine = Engine(cols, flat_disease(rate=50.0), simple_table(), iv, seed=1)
@@ -498,7 +497,7 @@ class TestVaccination:
 class TestConfigGuards:
     def test_den_requires_testing(self):
         with pytest.raises(ConfigError, match="requires testing"):
-            InterventionConfig(den_enabled=True)
+            InterventionConfig(den=DenConfig(enabled=True))
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ConfigError):
@@ -506,7 +505,7 @@ class TestConfigGuards:
         with pytest.raises(ConfigError):
             VaccinePolicy(dose1_efficacy=-0.1)
         with pytest.raises(ConfigError):
-            InterventionConfig(quarantine_dropout=2.0)
+            InterventionConfig(quarantine=QuarantinePolicy(dropout_prob=2.0))
 
 
 def test_contact_log_reuses_a_repeated_household_block():

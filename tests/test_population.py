@@ -36,7 +36,8 @@ def loop_synthesize(spec, seed):
     sizes = []
     covered = 0
     while covered < n:
-        s = int(rng.choice(spec.household_sizes, p=spec.household_size_probs))
+        s = int(rng.choice(spec.household_size_distribution.sizes,
+                           p=spec.household_size_distribution.probabilities))
         sizes.append(min(s, n - covered))
         covered += sizes[-1]
     order = rng.permutation(n)
@@ -47,7 +48,8 @@ def loop_synthesize(spec, seed):
         at += s
     cols.household_id[:] = hh
 
-    eligible = np.isin(cols.age_band, np.asarray(spec.occupation_eligible_bands, dtype=np.int8))
+    eligible = np.isin(cols.age_band,
+                       np.asarray(spec.occupation_eligible_age_bands, dtype=np.int8))
     n_eligible = int(eligible.sum())
     occ = np.zeros(n, dtype=np.int16)
     if n_eligible:
@@ -81,7 +83,8 @@ class TestValidation:
                                               f"most {MAX_HOUSEHOLD_SIZE},"):
             spec_with(10, household_size_distribution=hh)
         hh["sizes"][1] = MAX_HOUSEHOLD_SIZE
-        assert spec_with(10, household_size_distribution=hh).household_sizes[1] == 1000
+        spec = spec_with(10, household_size_distribution=hh)
+        assert spec.household_size_distribution.sizes[1] == 1000
 
     def test_missing_field_is_config_error(self):
         d = default_population_dict()
@@ -117,13 +120,13 @@ class TestSynthesize:
         # every agent in exactly one household; sizes within configured support
         sizes = np.bincount(cols.household_id)
         assert sizes.sum() == 5000
-        assert sizes.max() <= int(spec.household_sizes.max())
+        assert sizes.max() <= int(spec.household_size_distribution.sizes.max())
 
     def test_occupation_eligibility(self):
         spec = spec_with(20_000)
         cols = synthesize(spec, seed=4)
         eligible = np.isin(cols.age_band,
-                           np.asarray(spec.occupation_eligible_bands))
+                           np.asarray(spec.occupation_eligible_age_bands))
         assert np.all(cols.occupation[~eligible] == 0)
         assert np.all(cols.occupation[eligible] >= 1)
         assert np.all(cols.occupation[eligible] <= 23)

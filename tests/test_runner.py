@@ -184,7 +184,8 @@ class TestScenarioLoading:
         assert config.population.n_agents == 50
 
     def test_unknown_test_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown test"):
+        with pytest.raises(ConfigError, match=r"^interventions\.testing\.kind: "
+                                              r"expected one of \[.*\], got 'mystery'$"):
             tiny_scenario(interventions={"testing": {"enabled": True,
                                                      "kind": "mystery"}})
 
@@ -283,6 +284,14 @@ class TestScenarioLoading:
             "sizes": [1, 10**6], "probabilities": [0.5, 0.5]}}},
          "population.household_size_distribution.sizes[1]",
          "a size of at most 1000"),
+        ({"name": None}, "name", "a string"),
+        ({"name": 5}, "name", "a string"),
+        ({"interventions": {"vaccination": {"strategy": "x"}}},
+         "interventions.vaccination.strategy",
+         re.escape("one of ['delayed', 'delayed-except-elderly', 'standard']")),
+        ({"interventions": {"vaccination": {"immunity_mode": "x"}}},
+         "interventions.vaccination.immunity_mode",
+         re.escape("one of ['non-sterilizing', 'sterilizing']")),
     ])
     def test_bad_scalar_rejected(self, d, path, problem):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected {problem},"):
@@ -364,6 +373,23 @@ class TestScenarioLoading:
     def test_non_object_section_rejected(self, d, path):
         with pytest.raises(ConfigError, match=f"^{path}: expected an object"):
             scenario_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["population", "disease", "progression"])
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(5, "expected an object or a file path, got int", id="number"),
+        pytest.param("nope.json", "referenced file not found: .*nope.json",
+                     id="missing file"),
+        pytest.param("bad.json", "referenced file .*bad.json is not readable JSON: "
+                     "Expecting property name", id="bad JSON"),
+        pytest.param("bin.json", "referenced file .*bin.json is not readable JSON: "
+                     "'utf-8' codec", id="not UTF-8"),
+        pytest.param(".", "referenced file .* is not readable JSON: ", id="directory"),
+    ])
+    def test_section_error_names_its_section(self, tmp_path, key, value, message):
+        (tmp_path / "bad.json").write_text("{oops}")
+        (tmp_path / "bin.json").write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ConfigError, match=f"^{key}: {message}"):
+            scenario_from_dict({key: value}, base_dir=tmp_path)
 
 
 class TestDeterminism:
@@ -588,6 +614,19 @@ class TestCli:
             assert main(["simulate", "--scenario", str(bad),
                          "--out", str(tmp_path / "x")]) == 1, d
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00", None], ids=["not UTF-8",
+                                                                       "directory"])
+    def test_unreadable_scenario_file_exit_code(self, tmp_path, capsys, content):
+        scenario = tmp_path / "scenario.json"
+        if content is None:
+            scenario.mkdir()
+        else:
+            scenario.write_bytes(content)
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: scenario file {scenario} is not readable JSON: ")
+
     @pytest.mark.parametrize("block, path", [
         ({"den": {"lookback": 0}}, "interventions.den.lookback"),
         ({"vaccination": {"elderly_band": 99}}, "interventions.vaccination.elderly_band"),
@@ -688,6 +727,13 @@ class TestCli:
         assert main(["verify", "--scenario", str(scenario)]) == 1
         assert capsys.readouterr().err.startswith(
             "configuration error: population.n_agents: ")
+
+    def test_compare_rejects_a_name_that_is_not_a_string(self, tmp_path, capsys):
+        scenario = self.write_scenario(tmp_path, name=None)
+        assert main(["compare", "--scenarios", str(scenario),
+                     "--out", str(tmp_path / "cmp.csv")]) == 1
+        assert capsys.readouterr().err == ("configuration error: "
+                                           "name: expected a string, got None\n")
 
     def test_compare_matched_seeds(self, tmp_path, capsys):
         a = self.write_scenario(tmp_path)
