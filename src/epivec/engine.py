@@ -70,6 +70,7 @@ class Engine:
             if interventions.den.enabled else None
         self._sterilizing = (interventions.vaccination.immunity_mode
                              == ImmunityMode.STERILIZING)
+        self._checked = [(None, None)] * N_NETWORK_KINDS   # last block checked per kind
 
     # -- transmission -----------------------------------------------------
 
@@ -127,15 +128,19 @@ class Engine:
         if graph.step != step:
             raise InvariantViolation(
                 f"graph built for step {graph.step}, engine clock is {step}")
-        for src, dst in graph.blocks:
-            if not len(src):
-                continue
-            top = max(int(src.max()), int(dst.max()))
-            if top >= c.n_agents:
-                raise InvariantViolation(
-                    f"graph references agent {top} >= n_agents {c.n_agents}")
-            if np.any(src == dst):
-                raise InvariantViolation("graph contains a self-loop")
+        for kind, (src, dst) in enumerate(graph.blocks):
+            last_src, last_dst = self._checked[kind]
+            if (src is last_src and dst is last_dst
+                    and not (src.flags.writeable or dst.flags.writeable)):
+                continue   # the same read-only block passed last step
+            if len(src):
+                top = max(int(src.max()), int(dst.max()))
+                if top >= c.n_agents:
+                    raise InvariantViolation(
+                        f"graph references agent {top} >= n_agents {c.n_agents}")
+                if np.any(src == dst):
+                    raise InvariantViolation("graph contains a self-loop")
+            self._checked[kind] = (src, dst)
         ev = StepEvents(step=step, n_edges=graph.n_edges)
 
         self._phase_transmission(graph, ev)

@@ -89,8 +89,20 @@ class Setting:
         return _scalar(value, self.kind, where)
 
     def check(self, value, where: str):
-        """``value``, once its length and bounds hold (else a ConfigError
-        naming ``where``); a list comes back as an int64 or float64 array."""
+        """``value``, once its type, length and bounds hold (else a ConfigError
+        naming ``where``); a list comes back as an int64 or float64 array.
+        A class may be built in Python, not read from JSON, so a number, bool
+        or string whose type is not exactly its kind is typed as ``parse``
+        types it."""
+        if self.size is None:
+            if self.kind in (int, float, bool, str) and type(value) is not self.kind:
+                value = _scalar(value, self.kind, where)
+        elif not isinstance(value, (list, tuple, np.ndarray)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        elif any(type(v) is not self.kind for v in value):
+            names = self.size if isinstance(self.size, tuple) else ()
+            value = [_scalar(v, self.kind, f"{where}.{names[i]}" if i < len(names)
+                             else f"{where}[{i}]") for i, v in enumerate(value)]
         if self.size is not None:
             value = np.asarray(value, dtype=np.int64 if self.kind is int else np.float64)
             n = len(self.size) if isinstance(self.size, tuple) else self.size

@@ -19,6 +19,7 @@ the edge blocks and are silenced by the transmission pass instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,8 @@ def watts_strogatz(n_nodes: int, k: int, beta: float,
     drawn twice in the round, is redrawn next round.  Rewired edges so avoid
     all lattice pairs; an edge whose source has no free pair left, or that is
     still pending after 8*n rounds, keeps its lattice endpoint.  The
-    undirected edge count is always n*k/2.
+    undirected edge count is always n*k/2.  ``GraphRealizer`` rewires many
+    such graphs at once through the same rounds (``_rewire``).
     """
     if k % 2 != 0:
         raise ValueError(f"mean degree k must be even, got {k}")
@@ -91,27 +93,69 @@ def watts_strogatz(n_nodes: int, k: int, beta: float,
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
 
-    half = k // 2
-    us = np.tile(np.arange(n_nodes, dtype=np.int64), half)
-    vs = (us + np.repeat(np.arange(1, half + 1), n_nodes)) % n_nodes
-    rewired = np.empty(0, dtype=np.int64)
-    degree = np.full(n_nodes, k)   # lattice plus rewired pairs per node
-    pending = np.nonzero(rng.random(len(us)) < beta)[0]
-    for _ in range(8 * n_nodes):
-        pending = pending[degree[us[pending]] < n_nodes - 1]
+    us, vs = _ring_lattice(np.arange(n_nodes, dtype=np.int64), k // 2)
+    edge, node = _rewire(_segments([n_nodes], [k]), [rng], beta)
+    vs[edge] = node
+    return us, vs
+
+
+def _ring_lattice(nodes: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ring lattice over ``nodes`` as (u, v) arrays: edge ``h*m + i`` joins
+    ``nodes[i]`` to ``nodes[(i + h + 1) % m]``."""
+    m = len(nodes)
+    ring = np.concatenate([nodes, nodes[:half]])
+    return (np.tile(nodes, half),
+            np.lib.stride_tricks.sliding_window_view(ring, m)[1:half + 1].flatten())
+
+
+def _segments(m, k) -> tuple[np.ndarray, ...]:
+    """Per-graph (m, k, node offset, edge offset) of lattices laid end to end."""
+    m, k = np.asarray(m, dtype=np.int64), np.asarray(k, dtype=np.int64)
+    n_edges = m * (k // 2)
+    return m, k, np.cumsum(m) - m, np.cumsum(n_edges) - n_edges
+
+
+def _rewire(segments: tuple[np.ndarray, ...], rngs: list[np.random.Generator],
+            beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rewiring rounds of ``watts_strogatz`` over ring lattices laid end to
+    end (``_segments``), each drawing from its own generator exactly what it
+    draws alone: ``random(m*k/2)``, then one ``integers`` per round in which
+    it has pending edges.  Nodes and edges are numbered across segments, so
+    pair keys of different segments never meet.  Returns the positions of the
+    rewired edges and their new endpoints' node numbers.
+    """
+    m, k, node_offset, edge_offset = segments
+    n_nodes = int(m.sum())
+    high = (m - k - 1).tolist()
+    n_edges = m * (k // 2)
+    rewire = np.empty(int(n_edges.sum()), dtype=bool)
+    for rng, start, e in zip(rngs, edge_offset.tolist(), n_edges.tolist()):
+        np.less(rng.random(e), beta, out=rewire[start:start + e])
+    pending = np.flatnonzero(rewire)
+    degree = np.repeat(k, m)   # lattice plus rewired pairs per node
+    rewired = np.array([-1])   # sorted keys of the rewired pairs, after one no key equals
+    edges, nodes = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for done in itertools.count():   # rounds run so far
+        seg = np.searchsorted(edge_offset, pending, side="right") - 1
+        u = (pending - edge_offset[seg]) % m[seg] + node_offset[seg]
+        keep = (done < 8 * m[seg]) & (degree[u] < m[seg] - 1)
+        pending, seg, u = pending[keep], seg[keep], u[keep]
         if not len(pending):
             break
-        u = us[pending]
-        w = (u + half + 1 + rng.integers(0, n_nodes - k - 1, size=len(u))) % n_nodes
+        draw = np.concatenate([rngs[s].integers(0, high[s], size=c)
+                               for s, c in enumerate(np.bincount(seg).tolist()) if c])
+        base = node_offset[seg]
+        w = (u - base + k[seg] // 2 + 1 + draw) % m[seg] + base
         key = np.minimum(u, w) * n_nodes + np.maximum(u, w)
-        free = np.nonzero(~np.isin(key, rewired))[0]
-        new_keys, first = np.unique(key[free], return_index=True)
-        won = free[first]
-        vs[pending[won]] = w[won]
-        rewired = np.concatenate([rewired, new_keys])
+        at = np.minimum(np.searchsorted(rewired, key), len(rewired) - 1)
+        free = np.flatnonzero(rewired[at] != key)
+        won = np.delete(free, _later_repeats(key[free]))
+        edges.append(pending[won])
+        nodes.append(w[won])
+        rewired = np.sort(np.concatenate([rewired, key[won]]))
         degree += np.bincount(np.concatenate([u[won], w[won]]), minlength=n_nodes)
         pending = np.delete(pending, won)
-    return us, vs
+    return np.concatenate(edges), np.concatenate(nodes)
 
 
 def undirected_to_directed(us: np.ndarray, vs: np.ndarray
@@ -126,9 +170,8 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
 
     Each agent contributes floor(d) stubs plus one more with probability
     frac(d); shuffled stubs are paired off, dropping self-pairs and every
-    occurrence of a pair after its first.  Repeated pairs are rare (about 2
-    per call at 100K agents), so one sort of the pair keys finds the repeated
-    values and only the pairs holding one are stable-sorted.
+    occurrence of a pair after its first (``_later_repeats``; about 2 pairs
+    per call at 100K agents).
     """
     base = np.floor(target_degrees).astype(np.int64)
     frac = target_degrees - base
@@ -150,15 +193,23 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
         key = np.minimum(us, vs).astype(np.int64)
         key *= n
         key += np.maximum(us, vs)
-        sk = np.sort(key)
-        repeated = sk[1:][sk[1:] == sk[:-1]]
-        if len(repeated):
-            at = np.flatnonzero(np.isin(key, repeated))
-            at = at[np.argsort(key[at], kind="stable")]
-            keep = np.ones(len(key), dtype=bool)
-            keep[at[1:][key[at[1:]] == key[at[:-1]]]] = False
-            us, vs = us[keep], vs[keep]
+        later = _later_repeats(key)
+        if len(later):
+            us, vs = np.delete(us, later), np.delete(vs, later)
     return us.astype(np.int32, copy=False), vs.astype(np.int32, copy=False)
+
+
+def _later_repeats(key: np.ndarray) -> np.ndarray:
+    """Positions in ``key`` of every occurrence of a value after its first.
+    Repeats are rare, so one sort of the keys finds the repeated values and
+    only the positions holding one are stable-sorted."""
+    sk = np.sort(key)
+    repeated = sk[1:][sk[1:] == sk[:-1]]
+    if not len(repeated):
+        return repeated
+    at = np.flatnonzero(np.isin(key, repeated))
+    at = at[np.argsort(key[at], kind="stable")]
+    return at[1:][key[at[1:]] == key[at[:-1]]]
 
 
 def round_to_even(x: float) -> int:
@@ -171,12 +222,15 @@ class GraphRealizer:
 
     Construction is a pure function of (replication seed, step, dead mask),
     so any two simulations holding identical state realize identical graphs.
-    What depends on the dead mask alone (the live household block, the live
-    members of each occupation, the live agents) is kept with the mask it was
-    derived from and derived again only when a step's mask differs from it.
-    The kept arrays are read-only: every step's graph until the next death
-    shares the same household block, checked for self-loops once, when it is
-    derived.
+    What depends on the dead mask alone is kept with the mask it was derived
+    from and derived again only when a step's mask differs from it: the live
+    household block, the live agents with their degrees, and the ring lattice
+    of every occupation with at least 3 live members and k >= 2, laid end to
+    end (its (u, v) pair in agent ids, the per-occupation m, k and offsets,
+    and the node-to-agent map).  A step then only rewires the lattices, all
+    occupations in one pass, each from its own substream.  The kept arrays
+    are read-only: every step's graph until the next death shares the same
+    household block, checked for self-loops once, when it is derived.
     """
 
     def __init__(self, seed: int, household_id: np.ndarray,
@@ -198,7 +252,7 @@ class GraphRealizer:
         self._dead = None
 
     def _live(self, dead: np.ndarray) -> None:
-        """Derive the live household block, occupation members and agents from
+        """Derive the live household block, occupation lattices and agents from
         ``dead`` unless the last mask equals it.  Masks are compared whole, not
         by death count, so a mask that revives an agent is derived afresh."""
         if self._dead is not None and np.array_equal(dead, self._dead):
@@ -206,40 +260,48 @@ class GraphRealizer:
         alive = ~(dead[self.hh_src] | dead[self.hh_dst])
         self._household = (self.hh_src[alive], self.hh_dst[alive])
         _check_no_self_loops(self._household)
-        self._occ_live = {j: members[~dead[members]]
-                          for j, members in self.occ_members.items()}
+        self._occ_ids, lives, ks = [], [], []
+        for j, members in self.occ_members.items():
+            live = members[~dead[members]]
+            m = len(live)
+            k = min(round_to_even(self.occ_k[j]), 2 * ((m - 1) // 2))
+            if m >= 3 and k >= 2:
+                self._occ_ids.append(int(j))
+                lives.append(live)
+                ks.append(k)
+        empty = np.empty(0, dtype=np.int32)   # for masks that leave no occupation graph
+        lattices = [(empty, empty), *(_ring_lattice(live, k // 2)
+                                      for live, k in zip(lives, ks))]
+        self._occ_agent = np.concatenate([empty, *lives])
+        self._occ_u, self._occ_v = (np.concatenate(part) for part in zip(*lattices))
+        self._occ_segments = _segments([len(live) for live in lives], ks)
         self._live_agents = np.flatnonzero(~dead).astype(np.int32)
         self._live_degree = self.random_degree[self._live_agents]
         self._dead = dead.copy()
-        for a in (*self._household, *self._occ_live.values(), self._live_agents,
-                  self._live_degree, self._dead):
+        for a in (*self._household, self._occ_agent, self._occ_u, self._occ_v,
+                  *self._occ_segments, self._live_agents, self._live_degree,
+                  self._dead):
             a.flags.writeable = False
 
     def realize(self, step: int, dead: np.ndarray) -> StepGraph:
         self._live(dead)
 
-        empty = np.empty(0, dtype=np.int32)   # for steps with no occupation graph
-        us_parts, vs_parts = [empty], [empty]
-        for j, live in self._occ_live.items():
-            m = len(live)
-            k = min(round_to_even(self.occ_k[j]), 2 * ((m - 1) // 2))
-            if m < 3 or k < 2:
-                continue
-            rng = substream(self.seed, Purpose.GRAPH_OCCUPATION, step, int(j))
-            us, vs = watts_strogatz(m, k, self.rewire_beta, rng)
-            us_parts.append(live[us])
-            vs_parts.append(live[vs])
-        occupation = undirected_to_directed(np.concatenate(us_parts),
-                                            np.concatenate(vs_parts))
+        rngs = [substream(self.seed, Purpose.GRAPH_OCCUPATION, step, j)
+                for j in self._occ_ids]
+        edge, node = _rewire(self._occ_segments, rngs, self.rewire_beta)
+        vs = self._occ_v.copy()
+        vs[edge] = self._occ_agent[node]
+        _check_no_self_loops((self._occ_u, vs))
+        occupation = undirected_to_directed(self._occ_u, vs)
 
         rng = substream(self.seed, Purpose.GRAPH_RANDOM, step)
-        random = undirected_to_directed(
-            *stub_pairing(self._live_agents, self._live_degree, rng))
-
-        _check_no_self_loops(occupation, random)
+        pairs = stub_pairing(self._live_agents, self._live_degree, rng)
+        _check_no_self_loops(pairs)
+        random = undirected_to_directed(*pairs)
         return StepGraph(step, (self._household, occupation, random))  # NetworkKind order
 
 
-def _check_no_self_loops(*blocks) -> None:
-    if any(np.any(src == dst) for src, dst in blocks):
+def _check_no_self_loops(pairs) -> None:
+    src, dst = pairs
+    if np.any(src == dst):
         raise InvariantViolation("graph realization produced a self-loop")

@@ -5,7 +5,7 @@ error naming its path, and README's scenario example loads."""
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,30 @@ def test_number_outside_a_bound_names_its_path(path, bound, direction):
         scenario_from_dict(scenario_with(path, value))
     if setting.size is None:   # the bound itself is inside
         scenario_from_dict(scenario_with(path, bound))
+
+
+TYPED = sorted(path for path, setting in SETTINGS.items()
+               if setting.kind in (int, float, bool, str))
+
+
+@pytest.mark.parametrize("path", TYPED)
+def test_wrong_type_in_python_names_its_path(path):
+    """A config class built in Python types its values as the JSON reader
+    does, before any bound is compared."""
+    setting = SETTINGS[path]
+    wrong = 5 if setting.kind is str else "7"
+    value, where = wrong, path
+    if isinstance(setting.size, tuple):
+        value, where = [wrong], f"{path}.{setting.size[0]}"
+    elif setting.size is not None:
+        value, where = [wrong], f"{path}[0]"
+    *parents, key = path.split(".")
+    owner = scenario_from_dict(scenario_with("initial_infections", 0))
+    for parent in parents:
+        owner = getattr(owner, parent)
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(where)}: expected .*, got {re.escape(repr(wrong))}$"):
+        replace(owner, **{key: value})
 
 
 def test_readme_scenario_example_loads(tmp_path):

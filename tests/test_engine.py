@@ -117,6 +117,30 @@ class TestTrivialCases:
         with pytest.raises(InvariantViolation, match="n_agents"):
             engine.step(bad)
 
+    @pytest.mark.parametrize("bad_src, bad_dst, match", [
+        ([0, 1, 7], [1, 0, 2], "n_agents"),
+        ([0, 1, 2], [1, 0, 2], "self-loop"),
+    ])
+    def test_new_read_only_household_block_is_checked(self, bad_src, bad_dst, match):
+        """A read-only household block that passed is not checked again while
+        the same object comes back; a new one is, read-only or not."""
+        def household(src, dst):
+            block = (np.array(src, dtype=np.int32), np.array(dst, dtype=np.int32))
+            for a in block:
+                a.flags.writeable = False
+            return block
+
+        def graph(step, block):
+            empty = np.empty(0, dtype=np.int32)
+            return StepGraph(step, (block, (empty, empty), (empty, empty)))
+
+        engine = make_engine(blank_state(3))
+        good = household([0, 1], [1, 0])
+        engine.step(graph(0, good))
+        engine.step(graph(1, good))
+        with pytest.raises(InvariantViolation, match=match):
+            engine.step(graph(2, household(bad_src, bad_dst)))
+
 
 class TestGather:
     def infectious_center(self, n_leaves, rate, infected_days_ago=4):

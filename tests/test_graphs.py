@@ -2,8 +2,9 @@
 
 Graph statistics are checked with a brute-force adjacency-set oracle
 (degrees, clustering coefficients) rather than the builders' own arithmetic,
-and the vectorized small-world generator against the per-edge loop it
-replaced.
+the vectorized small-world generator against the per-edge loop it replaced,
+and the one-pass rewiring of every occupation against one call per
+occupation.
 """
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from epivec import graphs
 from epivec.errors import InvariantViolation
-from epivec.graphs import (GraphRealizer, build_households, stub_pairing,
-                           undirected_to_directed, watts_strogatz)
+from epivec.graphs import (GraphRealizer, build_households, round_to_even,
+                           stub_pairing, undirected_to_directed, watts_strogatz)
+from epivec.rng import Purpose, substream
 from epivec.stages import NetworkKind
 
 
@@ -90,6 +92,104 @@ def loop_watts_strogatz(n_nodes: int, k: int, beta: float,
                 vs[i] = new_v
                 taken.add(min(u, new_v) * n_nodes + max(u, new_v))
     return us, vs
+
+
+def reference_watts_strogatz(n_nodes: int, k: int, beta: float,
+                             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: ``watts_strogatz`` as one call per graph, before the
+    realizer rewired all occupations in one pass, verbatim.
+
+    Small-world graph; returns undirected edges as (u, v) position arrays.
+
+    Ring lattice joining each node to k/2 neighbors per side, then each edge
+    rewired at its source end with probability beta, in vectorized rounds:
+    every pending edge draws a new endpoint among the nodes that are neither
+    its source nor a lattice neighbor of it, and a pair already rewired to, or
+    drawn twice in the round, is redrawn next round.  Rewired edges so avoid
+    all lattice pairs; an edge whose source has no free pair left, or that is
+    still pending after 8*n rounds, keeps its lattice endpoint.  The
+    undirected edge count is always n*k/2.
+    """
+    if k % 2 != 0:
+        raise ValueError(f"mean degree k must be even, got {k}")
+    if k >= n_nodes:
+        raise ValueError(f"need k < n_nodes, got k={k}, n={n_nodes}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"rewire probability must be in [0, 1], got {beta}")
+    if k == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+
+    half = k // 2
+    us = np.tile(np.arange(n_nodes, dtype=np.int64), half)
+    vs = (us + np.repeat(np.arange(1, half + 1), n_nodes)) % n_nodes
+    rewired = np.empty(0, dtype=np.int64)
+    degree = np.full(n_nodes, k)   # lattice plus rewired pairs per node
+    pending = np.nonzero(rng.random(len(us)) < beta)[0]
+    for _ in range(8 * n_nodes):
+        pending = pending[degree[us[pending]] < n_nodes - 1]
+        if not len(pending):
+            break
+        u = us[pending]
+        w = (u + half + 1 + rng.integers(0, n_nodes - k - 1, size=len(u))) % n_nodes
+        key = np.minimum(u, w) * n_nodes + np.maximum(u, w)
+        free = np.nonzero(~np.isin(key, rewired))[0]
+        new_keys, first = np.unique(key[free], return_index=True)
+        won = free[first]
+        vs[pending[won]] = w[won]
+        rewired = np.concatenate([rewired, new_keys])
+        degree += np.bincount(np.concatenate([u[won], w[won]]), minlength=n_nodes)
+        pending = np.delete(pending, won)
+    return us, vs
+
+
+def reference_occupation_block(realizer, step, dead, substream=substream):
+    """Reference: the occupation block of ``GraphRealizer.realize`` as one
+    ``watts_strogatz`` call per occupation, the loop verbatim."""
+    occ_live = {j: members[~dead[members]]
+                for j, members in realizer.occ_members.items()}
+    empty = np.empty(0, dtype=np.int32)   # for steps with no occupation graph
+    us_parts, vs_parts = [empty], [empty]
+    for j, live in occ_live.items():
+        m = len(live)
+        k = min(round_to_even(realizer.occ_k[j]), 2 * ((m - 1) // 2))
+        if m < 3 or k < 2:
+            continue
+        rng = substream(realizer.seed, Purpose.GRAPH_OCCUPATION, step, int(j))
+        us, vs = reference_watts_strogatz(m, k, realizer.rewire_beta, rng)
+        us_parts.append(live[us])
+        vs_parts.append(live[vs])
+    return undirected_to_directed(np.concatenate(us_parts),
+                                  np.concatenate(vs_parts))
+
+
+class RecordingGenerator:
+    """A generator that logs each draw's arguments under the generator's key;
+    ``integers`` returns zeros for its first ``stuck`` calls."""
+
+    def __init__(self, rng, calls, stuck=0):
+        self.rng, self.calls, self.stuck = rng, calls, stuck
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def integers(self, low, high, size):
+        self.calls.append(("integers", high, size))
+        if sum(call[0] == "integers" for call in self.calls) <= self.stuck:
+            return np.zeros(size, dtype=np.int64)
+        return self.rng.integers(low, high, size=size)
+
+
+def recording_substream(log, stuck=0):
+    """``substream`` returning, for occupation graphs, ``RecordingGenerator``s
+    that log into ``log``, one list of calls per (step, occupation) key."""
+    def make(seed, purpose, *keys):
+        rng = substream(seed, purpose, *keys)
+        if purpose != Purpose.GRAPH_OCCUPATION:
+            return rng
+        return RecordingGenerator(rng, log.setdefault(keys, []), stuck)
+    return make
 
 
 def unique_stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
@@ -324,6 +424,73 @@ class TestStubPairing:
         us, _ = stub_pairing(np.arange(6, dtype=np.int32), np.full(6, 4.0),
                              np.random.default_rng(0))
         assert len(us) == len(pairs) < n_pairs
+
+
+class TestSegmentedRewiring:
+    """All occupations of a step rewired in one pass give the same bytes, and
+    the same draws from each occupation's substream, as one
+    ``watts_strogatz`` call per occupation."""
+
+    @staticmethod
+    def realizer(sizes, means, beta, seed, n_unemployed=3):
+        occupation = np.concatenate([np.full(m, j + 1) for j, m in enumerate(sizes)]
+                                    + [np.zeros(n_unemployed, dtype=np.int64)])
+        order = np.random.default_rng(seed).permutation(len(occupation))
+        occ_means = np.resize(np.asarray(means, dtype=np.float64), 23)
+        return make_realizer(np.arange(len(occupation)) // 4, occupation[order],
+                             np.full(len(occupation), 2.0), occ_means, beta, seed)
+
+    @staticmethod
+    def compare(r, step, dead, stuck=0):
+        """Assert the realized occupation block and draws equal the reference;
+        returns the reference's draws per key."""
+        log, ref_log = {}, {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "substream", recording_substream(log, stuck))
+            src, dst = r.realize(step, dead).blocks[NetworkKind.OCCUPATION]
+        ref_src, ref_dst = reference_occupation_block(
+            r, step, dead, recording_substream(ref_log, stuck))
+        assert src.dtype == dst.dtype == np.int32
+        assert src.tobytes() == ref_src.tobytes() and dst.tobytes() == ref_dst.tobytes()
+        assert log == ref_log
+        return ref_log
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+           means=st.lists(st.sampled_from([0.0, 2.0, 4.0, 6.0, 10.0, 200.0]),
+                          min_size=1, max_size=8),
+           beta=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @example(sizes=[1, 2, 3, 4, 5, 6], means=[200.0], beta=1.0, seed=0)
+    @example(sizes=[12, 12, 12], means=[6.0], beta=1.0, seed=1)
+    def test_matches_per_occupation_reference(self, sizes, means, beta, seed):
+        r = self.realizer(sizes, means, beta, seed)
+        n = r.n_agents
+        rng = np.random.default_rng(seed)
+        none = np.zeros(n, dtype=bool)
+        some = rng.random(n) < 0.3
+        revived = some.copy()
+        revived[np.flatnonzero(some)[:1]] = False   # an agent comes back
+        for step, dead in enumerate([none, some, some.copy(), revived]):
+            self.compare(r, step, dead)
+
+    def test_pinned_second_round(self):
+        """Three 10-member occupations at k = 6, all edges rewired: one is
+        done after the first round and the other two are not, so they run a
+        second round without it."""
+        r = self.realizer([10, 10, 10], [6.0], 1.0, seed=3)
+        log = self.compare(r, 0, np.zeros(r.n_agents, dtype=bool))
+        rounds = [sum(call[0] == "integers" for call in calls) for calls in log.values()]
+        assert len(rounds) == 3 and min(rounds) == 1 and max(rounds) >= 2
+
+    def test_round_cap_is_per_occupation(self):
+        """Draws that stay at 0 leave two of each source's three rewired edges
+        pending: an occupation of 10 members stops after its own 80 rounds,
+        while one of 40 members runs on and escapes once the draws move."""
+        r = self.realizer([10, 40], [6.0], 1.0, seed=4)
+        log = self.compare(r, 0, np.zeros(r.n_agents, dtype=bool), stuck=100)
+        rounds = {key[-1]: sum(call[0] == "integers" for call in calls)
+                  for key, calls in log.items()}
+        assert rounds[1] == 80 and rounds[2] > 100
 
 
 def make_realizer(household_id, occupation, random_degree, occ_means=None,
