@@ -16,10 +16,10 @@ phase order (the reference oracle mirrors it exactly):
    budget in priority order once the start trigger has latched;
 7. bookkeeping: contact-log push, event counts, invariant checks, clock.
 
-Hazard accumulation visits only edges from a live source into a susceptible
-target, one network block at a time, and sums them in canonical (target,
-source, network) edge order, so the gather is invariant to any permutation of
-the edges inside a block bit-for-bit.
+Hazard accumulation reads each pair of a network block in both directions,
+visits only those from a live source into a susceptible target, and sums them
+in canonical (target, source, network) order, so the gather is invariant
+bit-for-bit to the order and the orientation of the pairs inside a block.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ class Engine:
     def gather_exposure(self, graph: StepGraph) -> np.ndarray:
         """Summed hazard per agent; zero for everyone who cannot be infected.
 
-        Only edges from a live source (infectious, not quarantined, inside
-        the infectiousness window) into a target are gathered.  Their
-        contributions are accumulated per target in (source id, network kind)
-        order, making the result independent of edge-list permutation.
+        Each pair is read both ways; only edges from a live source (infectious,
+        not quarantined, inside the infectiousness window) into a target are
+        gathered, and accumulated per target in (source id, network kind)
+        order, so the order and orientation of the pairs do not matter.
         """
         c = self.cols
         p = self.disease
@@ -91,11 +91,12 @@ class Engine:
                   & (t >= 1) & (t <= p.t_max))
         target = self._target_mask()
         keys = []
-        for kind, (src, dst) in enumerate(graph.blocks):
-            idx = np.flatnonzero(source.take(src))
-            idx = idx[target.take(dst.take(idx))]
-            keys.append((dst.take(idx).astype(np.int64) * n + src.take(idx))
-                        * N_NETWORK_KINDS + kind)
+        for kind, (u, v) in enumerate(graph.blocks):
+            for src, dst in ((u, v), (v, u)):
+                idx = np.flatnonzero(source.take(src))
+                idx = idx[target.take(dst.take(idx))]
+                keys.append((dst.take(idx).astype(np.int64) * n + src.take(idx))
+                            * N_NETWORK_KINDS + kind)
         # one key per (target, source, kind); equal keys carry equal hazard,
         # so sorting the keys alone leaves every per-target sum bit-identical
         key = np.sort(np.concatenate(keys))
@@ -128,19 +129,19 @@ class Engine:
         if graph.step != step:
             raise InvariantViolation(
                 f"graph built for step {graph.step}, engine clock is {step}")
-        for kind, (src, dst) in enumerate(graph.blocks):
-            last_src, last_dst = self._checked[kind]
-            if (src is last_src and dst is last_dst
-                    and not (src.flags.writeable or dst.flags.writeable)):
+        for kind, (u, v) in enumerate(graph.blocks):
+            last_u, last_v = self._checked[kind]
+            if (u is last_u and v is last_v
+                    and not (u.flags.writeable or v.flags.writeable)):
                 continue   # the same read-only block passed last step
-            if len(src):
-                top = max(int(src.max()), int(dst.max()))
+            if len(u):
+                top = max(int(u.max()), int(v.max()))
                 if top >= c.n_agents:
                     raise InvariantViolation(
                         f"graph references agent {top} >= n_agents {c.n_agents}")
-                if np.any(src == dst):
+                if np.any(u == v):
                     raise InvariantViolation("graph contains a self-loop")
-            self._checked[kind] = (src, dst)
+            self._checked[kind] = (u, v)
         ev = StepEvents(step=step, n_edges=graph.n_edges)
 
         self._phase_transmission(graph, ev)

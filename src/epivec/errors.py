@@ -140,11 +140,13 @@ class Config:
         naming its path; an absent key with a default takes it."""
         schema = [f for f in fields(cls) if "setting" in f.metadata]
         checked(d, (*(f.name for f in schema), *cls.NOTES), cls.PATH)
-        return cls(**{f.name: f.metadata["setting"].parse(d.get(f.name),
+        for f in schema:
+            if (f.name not in d and f.default is MISSING
+                    and f.default_factory is MISSING):
+                raise ConfigError(f"{_join(cls.PATH, f.name)}: required key missing")
+        return cls(**{f.name: f.metadata["setting"].parse(d[f.name],
                                                             _join(cls.PATH, f.name))
-                      for f in schema
-                      if f.name in d or (f.default is MISSING
-                                         and f.default_factory is MISSING)})
+                      for f in schema if f.name in d})
 
     def __post_init__(self):
         for f in fields(self):

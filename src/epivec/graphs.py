@@ -11,9 +11,10 @@ Three network families are realized each step, each into its own edge block:
   approximation: one ring-lattice-plus-rewiring graph cannot honor
   heterogeneous per-agent degrees).
 
-Undirected interactions are stored as two directed edges so that the
-transmission gather can treat every edge as (source candidate -> target).
-Dead agents appear in no network; quarantined and hospitalized agents stay in
+Every interaction is symmetric and is stored once, as an undirected ``(u, v)``
+pair; consumers derive the second direction where they read a block (the
+transmission gather and the contact log read both ends of each pair).  Dead
+agents appear in no network; quarantined and hospitalized agents stay in
 the edge blocks and are silenced by the transmission pass instead.
 """
 
@@ -30,43 +31,43 @@ from .rng import Purpose, substream
 
 @dataclass
 class StepGraph:
-    """One step's interactions: an int32 ``(src, dst)`` edge block per network
-    kind, in ``NetworkKind`` order, like a per-edge-type ``edge_index``."""
+    """One step's interactions: an int32 ``(u, v)`` block of undirected pairs
+    per network kind, in ``NetworkKind`` order, one entry per interaction.
+    Counts and sources are of directed interactions, two per pair."""
 
     step: int
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def src(self) -> np.ndarray:
-        """Sources of every block, concatenated in kind order (a new array)."""
-        return np.concatenate([src for src, _ in self.blocks])
+        """The source of every directed interaction, that is both ends of each
+        pair, concatenated in kind order (a new array)."""
+        return np.concatenate([end for block in self.blocks for end in block])
 
     @property
     def n_edges(self) -> int:
-        return sum(len(src) for src, _ in self.blocks)
+        return 2 * sum(len(u) for u, _ in self.blocks)
 
     def kind_counts(self) -> np.ndarray:
-        return np.array([len(src) for src, _ in self.blocks])
+        return 2 * np.array([len(u) for u, _ in self.blocks])
 
 
 def build_households(household_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edge arrays for complete per-household graphs.
+    """Undirected pairs of complete per-household graphs.
 
-    Households of size one contribute no edges; a household of size m
-    contributes m*(m-1) directed edges, in (household id, source, target
-    index) order.
+    Households of size one contribute no pairs; a household of size m
+    contributes m*(m-1)/2 pairs ``(u, v)`` with ``u < v``, in (household id,
+    u, v) order.
     """
     order = np.argsort(household_id, kind="stable")
     _, start, size = np.unique(household_id[order], return_index=True,
                                return_counts=True)
-    per = size * (size - 1)
-    first = np.repeat(start, per)
-    # edge e of a household is (row, col) = divmod(e, m - 1) of its m x (m - 1)
-    # table of member pairs; col skips the diagonal
-    row, col = np.divmod(np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per),
-                         np.repeat(size - 1, per))
-    return (order[first + row].astype(np.int32),
-            order[first + col + (col >= row)].astype(np.int32))
+    # the member at sorted position i pairs with every later member of its
+    # household, the ``later[i]`` positions i + 1, i + 2, ... before its end
+    later = np.repeat(start + size, size) - 1 - np.arange(len(order))
+    at = np.repeat(np.arange(len(order)), later)
+    offset = np.arange(len(at)) - np.repeat(np.cumsum(later) - later, later) + 1
+    return order[at].astype(np.int32), order[at + offset].astype(np.int32)
 
 
 def watts_strogatz(n_nodes: int, k: int, beta: float,
@@ -158,12 +159,6 @@ def _rewire(segments: tuple[np.ndarray, ...], rngs: list[np.random.Generator],
     return np.concatenate(edges), np.concatenate(nodes)
 
 
-def undirected_to_directed(us: np.ndarray, vs: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    return (np.concatenate([us, vs], dtype=np.int32),
-            np.concatenate([vs, us], dtype=np.int32))
-
-
 def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Configuration-model pairing honoring fractional degrees in expectation.
@@ -218,7 +213,7 @@ def round_to_even(x: float) -> int:
 
 
 class GraphRealizer:
-    """Rebuilds the per-step edge blocks for one replication.
+    """Rebuilds the per-step pair blocks for one replication.
 
     Construction is a pure function of (replication seed, step, dead mask),
     so any two simulations holding identical state realize identical graphs.
@@ -239,7 +234,7 @@ class GraphRealizer:
                  rewire_beta: float):
         self.seed = seed
         self.n_agents = len(household_id)
-        self.hh_src, self.hh_dst = build_households(household_id)
+        self.hh_u, self.hh_v = build_households(household_id)
         self.occupation = occupation
         self.random_degree = np.asarray(random_degree, dtype=np.float64)
         self.occ_members = {
@@ -257,8 +252,8 @@ class GraphRealizer:
         by death count, so a mask that revives an agent is derived afresh."""
         if self._dead is not None and np.array_equal(dead, self._dead):
             return
-        alive = ~(dead[self.hh_src] | dead[self.hh_dst])
-        self._household = (self.hh_src[alive], self.hh_dst[alive])
+        alive = ~(dead[self.hh_u] | dead[self.hh_v])
+        self._household = (self.hh_u[alive], self.hh_v[alive])
         _check_no_self_loops(self._household)
         self._occ_ids, lives, ks = [], [], []
         for j, members in self.occ_members.items():
@@ -291,17 +286,16 @@ class GraphRealizer:
         edge, node = _rewire(self._occ_segments, rngs, self.rewire_beta)
         vs = self._occ_v.copy()
         vs[edge] = self._occ_agent[node]
-        _check_no_self_loops((self._occ_u, vs))
-        occupation = undirected_to_directed(self._occ_u, vs)
+        occupation = (self._occ_u, vs)
+        _check_no_self_loops(occupation)
 
         rng = substream(self.seed, Purpose.GRAPH_RANDOM, step)
-        pairs = stub_pairing(self._live_agents, self._live_degree, rng)
-        _check_no_self_loops(pairs)
-        random = undirected_to_directed(*pairs)
+        random = stub_pairing(self._live_agents, self._live_degree, rng)
+        _check_no_self_loops(random)
         return StepGraph(step, (self._household, occupation, random))  # NetworkKind order
 
 
 def _check_no_self_loops(pairs) -> None:
-    src, dst = pairs
-    if np.any(src == dst):
+    u, v = pairs
+    if np.any(u == v):
         raise InvariantViolation("graph realization produced a self-loop")

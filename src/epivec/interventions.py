@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import Config, ConfigError, setting
 from .graphs import StepGraph
-from .stages import N_AGE_BANDS
+from .stages import N_AGE_BANDS, N_NETWORK_KINDS
 
 
 @dataclass(frozen=True)
@@ -156,33 +156,35 @@ def priority_sort_key(strategy: Strategy, elderly_band: int,
 
 
 class ContactLog:
-    """Ring buffer of the last ``lookback`` steps of interaction edge blocks.
+    """Ring buffer of the last ``lookback`` steps of interaction pair blocks.
 
-    Only edges whose two ends hold the app (``has_app``, fixed for the run)
-    are kept: no other edge can carry an exposure notification.  The kept
-    household block is reused while the pushed household ``src`` is the same
-    array object as last time; ``GraphRealizer`` shares one read-only
-    household block across steps until someone dies, so the same object means
-    the same edges.
+    Only pairs whose two ends hold the app (``has_app``, fixed for the run)
+    are kept: no other pair can carry an exposure notification.  A block is
+    filtered at ``u``, then at ``v`` of the survivors; an end that is the
+    array object of the last block of its kind reuses its stage, since
+    ``GraphRealizer`` shares the household block and the occupation ``u``,
+    read-only, across steps until someone dies.
     """
 
     def __init__(self, lookback: int, has_app: np.ndarray):
         self.lookback = lookback
         self.has_app = has_app
         self._steps: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        self._household = (None, None)   # (pushed src, its kept block)
+        self._last = [(None,) * 4] * N_NETWORK_KINDS   # u, app positions in u, v, kept
 
-    def _kept(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        app = self.has_app
-        keep = np.flatnonzero(app.take(src) & app.take(dst))
-        return src.take(keep), dst.take(keep)
+    def _kept(self, kind: int, u: np.ndarray, v: np.ndarray):
+        last_u, first, last_v, kept = self._last[kind]
+        if u is last_u and v is last_v:
+            return kept
+        if u is not last_u:
+            first = np.flatnonzero(self.has_app.take(u))
+        keep = first[self.has_app.take(v.take(first))]
+        self._last[kind] = (u, first, v, (u.take(keep), v.take(keep)))
+        return self._last[kind][3]
 
     def push(self, graph: StepGraph) -> None:
-        (hh_src, hh_dst), *others = graph.blocks   # NetworkKind order
-        if hh_src is not self._household[0]:
-            self._household = (hh_src, self._kept(hh_src, hh_dst))
-        self._steps.append([self._household[1],
-                            *(self._kept(src, dst) for src, dst in others)])
+        self._steps.append([self._kept(kind, u, v)
+                            for kind, (u, v) in enumerate(graph.blocks)])
         if len(self._steps) > self.lookback:
             self._steps.pop(0)
 
@@ -194,7 +196,8 @@ class ContactLog:
         window."""
         member = np.zeros(len(self.has_app), dtype=bool)
         member[agents] = True
-        hits = [dst[member[src]] for blocks in self._steps for src, dst in blocks]
+        hits = [other[member[end]] for blocks in self._steps for u, v in blocks
+                for end, other in ((u, v), (v, u))]
         if not hits:
             return np.empty(0, dtype=np.int32)
         return np.unique(np.concatenate(hits)).astype(np.int32)

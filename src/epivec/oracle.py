@@ -102,23 +102,22 @@ class OracleSim:
         return True
 
     def _incident_hazards(self, graph: StepGraph, step: int):
-        """Per-target lists of (source id, kind, hazard), one edge at a time."""
+        """Per-target lists of (source id, kind, hazard), each pair walked both ways."""
         incoming: dict[int, list[tuple[int, int, float]]] = {}
-        for kind, (srcs, dsts) in enumerate(graph.blocks):
-            for e in range(len(srcs)):
-                s = int(srcs[e])
-                d = int(dsts[e])
-                src = self.agents[s]
-                if not INFECTIOUS_STAGE[src.stage]:
-                    continue
-                if src.quarantined(step):
-                    continue
-                t = step - src.infected_at
-                lam = edge_hazard(t, bool(ASYMPTOMATIC_LIKE_STAGE[src.stage]),
-                                  self.agents[d].age_band, kind, self.disease)
-                if lam == 0.0:
-                    continue
-                incoming.setdefault(d, []).append((s, kind, lam))
+        for kind, (us, vs) in enumerate(graph.blocks):
+            for e in range(len(us)):
+                for s, d in ((int(us[e]), int(vs[e])), (int(vs[e]), int(us[e]))):
+                    src = self.agents[s]
+                    if not INFECTIOUS_STAGE[src.stage]:
+                        continue
+                    if src.quarantined(step):
+                        continue
+                    t = step - src.infected_at
+                    lam = edge_hazard(t, bool(ASYMPTOMATIC_LIKE_STAGE[src.stage]),
+                                      self.agents[d].age_band, kind, self.disease)
+                    if lam == 0.0:
+                        continue
+                    incoming.setdefault(d, []).append((s, kind, lam))
         return incoming
 
     # -- the step ----------------------------------------------------------
@@ -140,8 +139,8 @@ class OracleSim:
             self._vaccination(step)
 
         if self.iv.den.enabled:
-            edges = [(int(srcs[e]), int(dsts[e]))
-                     for srcs, dsts in graph.blocks for e in range(len(srcs))]
+            edges = [(int(a), int(b)) for us, vs in graph.blocks for e in range(len(us))
+                     for a, b in ((us[e], vs[e]), (vs[e], us[e]))]
             self.contact_history.append(edges)
             if len(self.contact_history) > self.iv.den.lookback:
                 self.contact_history.pop(0)

@@ -25,9 +25,9 @@ from .stages import NEVER, N_AGE_BANDS, N_OCCUPATIONS, Stage
 from .state import AgentColumns
 
 _DIST_TOL = 1e-9
-# A household of m members is a complete graph of m*(m-1) directed edges,
+# A household of m members is a complete graph of m*(m-1)/2 undirected pairs,
 # built before step 0 and kept for the run: a size of 10^5 alone would ask
-# for 10^10 edges.  1,000 members is 999,000 edges (8 MB of int32 pairs).
+# for 5*10^9 pairs.  1,000 members is 499,500 pairs (4 MB of int32 pairs).
 MAX_HOUSEHOLD_SIZE = 1000
 
 

@@ -2,9 +2,9 @@
 intervention block, horizon, replications, seeds.
 
 Sub-configs may be inlined as JSON objects or referenced as file paths
-(resolved relative to the scenario file).  Missing sub-configs fall back to
+(resolved relative to the scenario file).  Absent sub-configs fall back to
 the packaged defaults, which are synthetic placeholders — illustrative, not
-clinically calibrated.
+clinically calibrated; an explicit null is a ConfigError.
 """
 
 from __future__ import annotations
@@ -69,16 +69,17 @@ class ScenarioConfig(Config):
                  self.population.n_agents)
 
 
-def _resolve_section(key: str, value, base_dir: Path):
-    """The JSON of section ``key``: ``value`` itself, the file it names, or
-    the packaged default when it is absent."""
-    if value is None:
+def _resolve_section(key: str, d: dict, base_dir: Path):
+    """The JSON of section ``key`` of ``d``: its object, the file it names, or,
+    when the key is absent (null is not absent), the packaged default."""
+    if key not in d:
         return _load_default(_PACKAGED[key])
+    value = d[key]
     if isinstance(value, dict):
         return value
     if not isinstance(value, str):
-        raise ConfigError(f"{key}: expected an object or a file path, "
-                          f"got {type(value).__name__}")
+        raise ConfigError(f"{key}: expected an object or a file path, got "
+                          f"{'null' if value is None else type(value).__name__}")
     # ``base_dir / value`` is ``value`` itself when ``value`` is absolute
     return _read_json(base_dir / value, f"{key}: referenced file")
 
@@ -98,7 +99,7 @@ def _read_json(path: Path, what: str):
 def scenario_from_dict(d: dict, base_dir: Path | str = ".",
                        name: str = "scenario") -> ScenarioConfig:
     if isinstance(d, dict):
-        d = {"name": name, **d, **{key: _resolve_section(key, d.get(key), Path(base_dir))
+        d = {"name": name, **d, **{key: _resolve_section(key, d, Path(base_dir))
                                    for key in _PACKAGED}}
     return ScenarioConfig.from_dict(d)
 

@@ -5,7 +5,7 @@ error naming its path, and README's scenario example loads."""
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,23 @@ def walk(cls, path=""):
 SETTINGS = dict(walk(ScenarioConfig))
 
 
+def required(cls, path=""):
+    """Paths of the keys without a default under the config class ``cls``."""
+    for f in fields(cls):
+        setting = f.metadata.get("setting")
+        if setting is None:
+            continue
+        where = f"{path}.{f.name}" if path else f.name
+        if f.default is MISSING and f.default_factory is MISSING:
+            yield where
+        if is_dataclass(setting.kind):
+            yield from required(setting.kind, where)
+
+
+# the loader fills the top-level sections (and the name) itself
+REQUIRED = [path for path in required(ScenarioConfig) if "." in path]
+
+
 def scenario_with(path, value):
     """A valid scenario dict with ``value`` at the dotted ``path``; a callable
     ``value`` maps the packaged value there to the new one."""
@@ -66,6 +83,23 @@ def test_wrong_type_names_its_path(path):
     if setting.size is not None and not isinstance(setting.size, tuple):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}\\[0\\]: expected a"):
             scenario_from_dict(scenario_with(path, ["x"]))
+
+
+def test_required_keys_reach_every_section():
+    assert {path.split(".")[0] for path in REQUIRED} == {"population", "disease"}
+    assert "population.age_distribution" in REQUIRED
+
+
+@pytest.mark.parametrize("path", REQUIRED)
+def test_absent_required_key_says_it_is_missing(path):
+    d = scenario_with(path, None)
+    *parents, key = path.split(".")
+    block = d
+    for parent in parents:
+        block = block[parent]
+    del block[key]
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: required key missing$"):
+        scenario_from_dict(d)
 
 
 def outside(setting, bound, direction):

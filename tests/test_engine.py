@@ -11,29 +11,64 @@ from epivec.engine import Engine
 from epivec.errors import InvariantViolation
 from epivec.graphs import StepGraph
 from epivec.interventions import ImmunityMode, InterventionConfig, VaccinePolicy
-from epivec.stages import (ASYMPTOMATIC_LIKE_STAGE, INFECTIOUS_STAGE, N_STAGES,
-                           NEVER, NetworkKind, Stage)
+from epivec.stages import (ASYMPTOMATIC_LIKE_STAGE, INFECTIOUS_STAGE,
+                           N_NETWORK_KINDS, N_STAGES, NEVER, NetworkKind, Stage)
 from epivec.state import AgentColumns
 from epivec.transmission import DiseaseParams, edge_hazard, infection_probability
 
-from test_interventions import (blank_state, empty_graph, flat_disease, flat_edges,
-                                simple_table, step_graph)
+from test_interventions import (blank_state, doubled, empty_graph, flat_disease,
+                                flat_edges, pair_blocks, simple_table, step_graph)
 
 
 def star_graph(step, n_leaves):
-    """Center agent 0 joined to each leaf, both directions."""
+    """Center agent 0 paired with each leaf."""
     leaves = np.arange(1, n_leaves + 1, dtype=np.int32)
     hub = np.zeros(n_leaves, dtype=np.int32)
-    return step_graph(step,
-                      np.concatenate([hub, leaves]).astype(np.int32),
-                      np.concatenate([leaves, hub]).astype(np.int32),
-                      np.full(2 * n_leaves, int(NetworkKind.RANDOM), dtype=np.int8))
+    return step_graph(step, hub, leaves,
+                      np.full(n_leaves, int(NetworkKind.RANDOM), dtype=np.int8))
+
+
+def directed_gather_exposure(self, graph: StepGraph) -> np.ndarray:
+    """``Engine.gather_exposure`` over directed ``(src, dst)`` blocks, before
+    blocks held pairs, verbatim (``self`` is the engine; pass ``doubled``
+    graphs)."""
+    c = self.cols
+    p = self.disease
+    step = self.clock
+    n = c.n_agents
+    t = step - c.infected_at.astype(np.int64)
+    source = (INFECTIOUS_STAGE[c.stage] & (c.quarantine_until <= step)
+              & (t >= 1) & (t <= p.t_max))
+    target = self._target_mask()
+    keys = []
+    for kind, (src, dst) in enumerate(graph.blocks):
+        idx = np.flatnonzero(source.take(src))
+        idx = idx[target.take(dst.take(idx))]
+        keys.append((dst.take(idx).astype(np.int64) * n + src.take(idx))
+                    * N_NETWORK_KINDS + kind)
+    # one key per (target, source, kind); equal keys carry equal hazard,
+    # so sorting the keys alone leaves every per-target sum bit-identical
+    key = np.sort(np.concatenate(keys))
+    if not len(key):
+        return np.zeros(n, dtype=np.float64)
+    k = key % N_NETWORK_KINDS
+    d, s = np.divmod(key // N_NETWORK_KINDS, n)
+    a = np.where(ASYMPTOMATIC_LIKE_STAGE[c.stage[s]],
+                 p.asymptomatic_factor, 1.0)
+    lam = (p.rate_scale
+           * p.age_susceptibility[c.age_band[d]]
+           * a
+           * p.network_scale[k]
+           / p.mean_daily_interactions
+           * p.day_weights[t[s]])
+    return np.bincount(d, weights=lam, minlength=n)
 
 
 def reference_gather_exposure(self, graph: StepGraph) -> np.ndarray:
     """``Engine.gather_exposure`` before it filtered edges by target, verbatim
-    but for reading the flattened blocks (``self`` is the engine): every edge
-    with a live source, a 3-key lexsort, non-targets zeroed afterwards."""
+    but for reading the flattened blocks (``self`` is the engine; pass
+    ``doubled`` graphs): every edge with a live source, a 3-key lexsort,
+    non-targets zeroed afterwards."""
     c = self.cols
     p = self.disease
     step = self.clock
@@ -118,8 +153,8 @@ class TestTrivialCases:
             engine.step(bad)
 
     @pytest.mark.parametrize("bad_src, bad_dst, match", [
-        ([0, 1, 7], [1, 0, 2], "n_agents"),
-        ([0, 1, 2], [1, 0, 2], "self-loop"),
+        ([0, 7], [1, 2], "n_agents"),
+        ([0, 2], [1, 2], "self-loop"),
     ])
     def test_new_read_only_household_block_is_checked(self, bad_src, bad_dst, match):
         """A read-only household block that passed is not checked again while
@@ -135,7 +170,7 @@ class TestTrivialCases:
             return StepGraph(step, (block, (empty, empty), (empty, empty)))
 
         engine = make_engine(blank_state(3))
-        good = household([0, 1], [1, 0])
+        good = household([0], [1])
         engine.step(graph(0, good))
         engine.step(graph(1, good))
         with pytest.raises(InvariantViolation, match=match):
@@ -200,6 +235,11 @@ class TestGather:
             perm = rng.permutation(len(src))
             shuffled = step_graph(5, src[perm], dst[perm], kind[perm])
             assert np.array_equal(engine.gather_exposure(shuffled), base)
+            # and each pair may be stored either way round
+            flip = rng.random(len(src)) < 0.5
+            u, v = np.where(flip, dst, src), np.where(flip, src, dst)
+            assert np.array_equal(engine.gather_exposure(step_graph(5, u, v, kind)),
+                                  base)
 
     def test_star_marginal_matches_enumeration_oracle(self):
         # exhaustive enumeration over all 2^4 per-edge outcomes gives each
@@ -300,12 +340,14 @@ class TestGatherMatchesReference:
         keep = src != dst
         src, dst = src[keep], dst[keep]
         kind = rng.integers(0, 3, len(src))
-        # the same (src, dst) pair under a second kind, and exact repeats
+        # the same pair under a second kind, exact repeats, and repeats the
+        # other way round
         twin = rng.random(len(src)) < 0.2
         same = rng.random(len(src)) < 0.05
-        src = np.concatenate([src, src[twin], src[same]])
-        dst = np.concatenate([dst, dst[twin], dst[same]])
-        kind = np.concatenate([kind, (kind[twin] + 1) % 3, kind[same]])
+        flip = rng.random(len(src)) < 0.05
+        src, dst = (np.concatenate([a, a[twin], a[same], b[flip]])
+                    for a, b in ((src, dst), (dst, src)))
+        kind = np.concatenate([kind, (kind[twin] + 1) % 3, kind[same], kind[flip]])
         perm = rng.permutation(len(src))
         return step_graph(step, src[perm].astype(np.int32), dst[perm].astype(np.int32),
                           kind[perm].astype(np.int8))
@@ -320,7 +362,22 @@ class TestGatherMatchesReference:
         graph = self.random_graph(rng, n, step)
         hazard = engine.gather_exposure(graph)
         assert hazard.dtype == np.float64 and hazard.shape == (n,)
-        assert hazard.tobytes() == reference_gather_exposure(engine, graph).tobytes()
+        assert hazard.tobytes() \
+            == reference_gather_exposure(engine, doubled(graph)).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 40), step=st.integers(0, 40),
+           sterilizing=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_pair_gather_matches_directed_gather(self, data, n, step, sterilizing,
+                                                 seed):
+        """Pair blocks, some empty, with agents in many pairs and repeated
+        pairs under every kind, gather what the directed gather gathers over
+        every pair in both directions, bit for bit."""
+        engine = self.random_engine(np.random.default_rng(seed), n, step, sterilizing)
+        graph = StepGraph(step, data.draw(pair_blocks(n)))
+        hazard = engine.gather_exposure(graph)
+        assert hazard.tobytes() \
+            == directed_gather_exposure(engine, doubled(graph)).tobytes()
 
     def test_states_exercise_every_filter(self):
         """The random states hold quarantined live sources, non-target
@@ -329,7 +386,7 @@ class TestGatherMatchesReference:
         engine = self.random_engine(rng, 60, 20, sterilizing=False)
         graph = self.random_graph(rng, 60, 20)
         c = engine.cols
-        src, dst, _ = flat_edges(graph)
+        src, dst, _ = flat_edges(doubled(graph))
         infectious = INFECTIOUS_STAGE[c.stage[src]]
         assert np.any(infectious & (c.quarantine_until[src] > 20))
         assert np.any(infectious & ~engine._target_mask()[dst])

@@ -13,10 +13,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from epivec import graphs
 from epivec.errors import InvariantViolation
-from epivec.graphs import (GraphRealizer, build_households, round_to_even,
-                           stub_pairing, undirected_to_directed, watts_strogatz)
+from epivec.graphs import (GraphRealizer, StepGraph, build_households,
+                           round_to_even, stub_pairing, watts_strogatz)
 from epivec.rng import Purpose, substream
 from epivec.stages import NetworkKind
+
+from test_interventions import doubled
 
 
 def adjacency_sets(us, vs, n):
@@ -145,7 +147,8 @@ def reference_watts_strogatz(n_nodes: int, k: int, beta: float,
 
 def reference_occupation_block(realizer, step, dead, substream=substream):
     """Reference: the occupation block of ``GraphRealizer.realize`` as one
-    ``watts_strogatz`` call per occupation, the loop verbatim."""
+    ``watts_strogatz`` call per occupation, the loop verbatim but for
+    returning the pairs rather than writing out both directions."""
     occ_live = {j: members[~dead[members]]
                 for j, members in realizer.occ_members.items()}
     empty = np.empty(0, dtype=np.int32)   # for steps with no occupation graph
@@ -159,8 +162,7 @@ def reference_occupation_block(realizer, step, dead, substream=substream):
         us, vs = reference_watts_strogatz(m, k, realizer.rewire_beta, rng)
         us_parts.append(live[us])
         vs_parts.append(live[vs])
-    return undirected_to_directed(np.concatenate(us_parts),
-                                  np.concatenate(vs_parts))
+    return np.concatenate(us_parts), np.concatenate(vs_parts)
 
 
 class RecordingGenerator:
@@ -256,6 +258,11 @@ def _all_others(members):
     return tiled[mask]
 
 
+def household_edges(household_id):
+    """``build_households`` as directed ``(src, dst)`` arrays (``doubled``)."""
+    return doubled(StepGraph(0, (build_households(household_id),))).blocks[0]
+
+
 class TestHouseholds:
     @settings(max_examples=300, deadline=None)
     @given(ids=st.lists(st.integers(0, 12), max_size=60))
@@ -263,35 +270,52 @@ class TestHouseholds:
     @example(ids=list(range(8)))
     @example(ids=[3] * 9)
     def test_matches_loop_reference_bytewise(self, ids):
+        """The pairs are the reference's edges from a lower to a higher id, in
+        its order, and doubled they are its edges (each once: sorting both
+        sides compares them whole)."""
         household_id = np.array(ids, dtype=np.int64)
-        src, dst = build_households(household_id)
+        u, v = build_households(household_id)
         ref_src, ref_dst = reference_build_households(household_id)
-        assert src.dtype == dst.dtype == np.int32
-        assert src.tobytes() == ref_src.tobytes()
-        assert dst.tobytes() == ref_dst.tobytes()
+        assert u.dtype == v.dtype == np.int32
+        upper = ref_src < ref_dst
+        assert u.tobytes() == ref_src[upper].tobytes()
+        assert v.tobytes() == ref_dst[upper].tobytes()
+        src, dst = household_edges(household_id)
+        order, ref_order = np.lexsort((dst, src)), np.lexsort((ref_dst, ref_src))
+        assert src[order].tobytes() == ref_src[ref_order].tobytes()
+        assert dst[order].tobytes() == ref_dst[ref_order].tobytes()
 
     def test_sizes_three_and_two(self):
         hh = np.array([0, 0, 0, 1, 1])
-        src, dst = build_households(hh)
-        assert len(src) == 3 * 2 + 2 * 1
-        assert not np.any(src == dst)
+        u, v = build_households(hh)
+        assert len(u) == 3 + 1
+        assert len(household_edges(hh)[0]) == 3 * 2 + 2 * 1
+        assert not np.any(u == v)
 
     def test_all_singletons(self):
         src, dst = build_households(np.arange(6))
         assert len(src) == 0
 
     def test_size_four_every_pair(self):
-        src, dst = build_households(np.zeros(4, dtype=int))
+        u, v = build_households(np.zeros(4, dtype=int))
+        assert len(u) == 6
+        pairs = set(zip(u.tolist(), v.tolist()))
+        assert pairs == {(a, b) for a in range(4) for b in range(4) if a < b}
+        src, dst = household_edges(np.zeros(4, dtype=int))
         assert len(src) == 12
-        pairs = set(zip(src.tolist(), dst.tolist()))
-        expected = {(a, b) for a in range(4) for b in range(4) if a != b}
-        assert pairs == expected
+        edges = set(zip(src.tolist(), dst.tolist()))
+        assert edges == {(a, b) for a in range(4) for b in range(4) if a != b}
 
     def test_both_directions_present(self):
-        src, dst = build_households(np.array([0, 0, 1, 1, 1]))
-        pairs = set(zip(src.tolist(), dst.tolist()))
-        for a, b in list(pairs):
-            assert (b, a) in pairs
+        """Each pair is stored once; doubled, both directions are there."""
+        u, v = build_households(np.array([0, 0, 1, 1, 1]))
+        pairs = set(zip(u.tolist(), v.tolist()))
+        assert len(pairs) == len(u) == 1 + 3
+        assert not any((b, a) in pairs for a, b in pairs)
+        src, dst = household_edges(np.array([0, 0, 1, 1, 1]))
+        edges = set(zip(src.tolist(), dst.tolist()))
+        for a, b in list(edges):
+            assert (b, a) in edges
 
 
 class TestWattsStrogatz:
@@ -447,11 +471,11 @@ class TestSegmentedRewiring:
         log, ref_log = {}, {}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "substream", recording_substream(log, stuck))
-            src, dst = r.realize(step, dead).blocks[NetworkKind.OCCUPATION]
-        ref_src, ref_dst = reference_occupation_block(
+            u, v = r.realize(step, dead).blocks[NetworkKind.OCCUPATION]
+        ref_u, ref_v = reference_occupation_block(
             r, step, dead, recording_substream(ref_log, stuck))
-        assert src.dtype == dst.dtype == np.int32
-        assert src.tobytes() == ref_src.tobytes() and dst.tobytes() == ref_dst.tobytes()
+        assert u.dtype == v.dtype == ref_u.dtype == ref_v.dtype == np.int32
+        assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
         assert log == ref_log
         return ref_log
 
@@ -513,6 +537,7 @@ class TestRealizeStepGraph:
         g = r.realize(0, np.zeros(3, dtype=bool))
         assert g.n_edges == 6
         assert g.kind_counts().tolist() == [6, 0, 0]
+        assert len(g.blocks[NetworkKind.HOUSEHOLD][0]) == 3
 
     def test_household_edges_stable_random_edges_resampled(self):
         n = 400
@@ -577,7 +602,10 @@ class TestRealizeStepGraph:
         assert len(src) and np.all(occ[src] == occ[dst]) and np.all(occ[src] > 0)
         assert len(g.blocks[NetworkKind.RANDOM][0])
         assert g.n_edges == g.kind_counts().sum()
-        assert np.array_equal(g.src, np.concatenate([s for s, _ in g.blocks]))
+        # counts and sources are those of the directed interactions
+        directed = doubled(g)
+        assert g.kind_counts().tolist() == [len(s) for s, _ in directed.blocks]
+        assert np.array_equal(g.src, np.concatenate([s for s, _ in directed.blocks]))
 
     def test_mask_sequence_matches_fresh_realizer(self):
         """The kept live sets follow the mask, whatever its history: no deaths,

@@ -74,19 +74,45 @@ def blank_state(n, ages=None):
     return cols
 
 
-def step_graph(step, src, dst, kind):
-    """A StepGraph from flat edge arrays: the edges of each network kind, in
+def step_graph(step, u, v, kind):
+    """A StepGraph from flat pair arrays: the pairs of each network kind, in
     their given order, make up that kind's block."""
-    src, dst, kind = np.asarray(src), np.asarray(dst), np.asarray(kind)
-    return StepGraph(step, tuple((src[kind == k].astype(np.int32),
-                                  dst[kind == k].astype(np.int32))
+    u, v, kind = np.asarray(u), np.asarray(v), np.asarray(kind)
+    return StepGraph(step, tuple((u[kind == k].astype(np.int32),
+                                  v[kind == k].astype(np.int32))
                                  for k in NetworkKind))
 
 
-def flat_edges(graph):
-    """``(src, dst, kind)`` of every block, concatenated in kind order."""
-    kind = np.repeat(np.arange(N_NETWORK_KINDS, dtype=np.int8), graph.kind_counts())
-    return graph.src, np.concatenate([dst for _, dst in graph.blocks]), kind
+def doubled(graph):
+    """``graph`` with each pair block ``(u, v)`` written out as the directed
+    block ``(u + v, v + u)``: every pair in both directions, the layout step
+    graphs had before they stored each interaction once."""
+    return StepGraph(graph.step, tuple((np.concatenate([u, v]), np.concatenate([v, u]))
+                                       for u, v in graph.blocks))
+
+
+def flat_edges(directed):
+    """``(src, dst, kind)`` of every block of a directed graph (``doubled``),
+    concatenated in kind order."""
+    src, dst = (np.concatenate(ends) for ends in zip(*directed.blocks))
+    kind = np.repeat(np.arange(N_NETWORK_KINDS, dtype=np.int8),
+                     [len(block_src) for block_src, _ in directed.blocks])
+    return src, dst, kind
+
+
+@st.composite
+def pair_blocks(draw, n):
+    """One int32 pair block per network kind over ``n`` agents: any block may
+    be empty, an agent may sit in many pairs, and a pair may repeat, in either
+    orientation, within a block or under another kind."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    blocks = []
+    for _ in NetworkKind:
+        pairs = np.array(draw(st.lists(pair, max_size=4 * n)), dtype=np.int32)
+        pairs = pairs.reshape(-1, 2)
+        blocks.append((pairs[:, 0].copy(), pairs[:, 1].copy()))
+    return tuple(blocks)
 
 
 def empty_graph(step):
@@ -205,9 +231,9 @@ class TestQuarantine:
                                 testing=DiagnosticPolicy(enabled=True, kind=SURE_TEST))
         engine = Engine(cols, flat_disease(), simple_table(), iv, seed=0)
         engine.clock = 5
-        graph = step_graph(5, np.array([0, 1], dtype=np.int32),
-                           np.array([1, 0], dtype=np.int32),
-                           np.zeros(2, dtype=np.int8))
+        graph = step_graph(5, np.array([0], dtype=np.int32),
+                           np.array([1], dtype=np.int32),
+                           np.zeros(1, dtype=np.int8))
         hazard = engine.gather_exposure(graph)
         assert hazard[1] == 0.0
         cols.quarantine_until[0] = NEVER
@@ -236,10 +262,10 @@ def den_intervention(adoption=1.0, compliance=1.0, lookback=7):
                       compliance_prob=compliance, lookback=lookback))
 
 
-def pair_graph(step, a, b, n_edges_dtype=np.int32):
-    return step_graph(step, np.array([a, b], dtype=np.int32),
-                      np.array([b, a], dtype=np.int32),
-                      np.full(2, int(NetworkKind.RANDOM), dtype=np.int8))
+def pair_graph(step, a, b):
+    return step_graph(step, np.array([a], dtype=np.int32),
+                      np.array([b], dtype=np.int32),
+                      np.full(1, int(NetworkKind.RANDOM), dtype=np.int8))
 
 
 class TestExposureNotification:
@@ -308,7 +334,8 @@ class TestExposureNotification:
 
 class ReferenceContactLog:
     """The contact log before it kept only app-holder pairs, verbatim: every
-    edge of the window, rescanned on each query."""
+    edge of the window, rescanned on each query.  It reads directed blocks, so
+    it is pushed ``doubled`` graphs."""
 
     def __init__(self, lookback: int):
         self.lookback = lookback
@@ -362,7 +389,7 @@ def test_contact_log_keeps_what_a_notification_can_reach(n, lookback, adoption, 
         graph = step_graph(step, src[keep], dst[keep],
                            rng.integers(0, 3, int(keep.sum())).astype(np.int8))
         log.push(graph)
-        full.push(graph)
+        full.push(doubled(graph))
         assert len(log) == len(full)
         agents = np.flatnonzero(rng.random(n) < 0.4)
         contacts = log.contacts_of(agents)
@@ -370,6 +397,34 @@ def test_contact_log_keeps_what_a_notification_can_reach(n, lookback, adoption, 
         notifiers = agents[has_app[agents]]
         expected = full.contacts_of(notifiers)
         assert np.array_equal(log.contacts_of(notifiers), expected[has_app[expected]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), lookback=st.integers(1, 3))
+def test_pair_contacts_match_the_directed_reference(data, n, lookback):
+    """``contacts_of`` over pair blocks equals the full directed log's
+    contacts that hold the app, the full log reading every pair both ways.
+    Between pushes every block is kept (the same objects), drawn anew, or
+    keeps its ``u`` object with its ``v`` reordered."""
+    has_app = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    log, full = ContactLog(lookback, has_app), ReferenceContactLog(lookback)
+    graph = StepGraph(0, data.draw(pair_blocks(n)))
+    for step in range(lookback + 3):
+        change = data.draw(st.sampled_from(["same", "new", "new v"]))
+        if change == "new":
+            graph = StepGraph(step, data.draw(pair_blocks(n)))
+        elif change == "new v":
+            graph = StepGraph(step, tuple(
+                (u, v[data.draw(st.permutations(range(len(v))))]) for u, v in graph.blocks))
+        log.push(graph)
+        full.push(doubled(graph))
+        agents = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)),
+                          dtype=np.int64)
+        notifiers = agents[has_app[agents]]
+        expected = full.contacts_of(notifiers)
+        contacts = log.contacts_of(notifiers)
+        assert contacts.dtype == np.int32
+        assert np.array_equal(contacts, expected[has_app[expected]])
 
 
 class TestVaccination:
@@ -416,9 +471,7 @@ class TestVaccination:
         others = np.arange(1, n, dtype=np.int32)
         kinds = np.zeros(n - 1, dtype=np.int8)
         for step in range(40):
-            graph = step_graph(step, np.concatenate([hub, others]).astype(np.int32),
-                               np.concatenate([others, hub]).astype(np.int32),
-                               np.concatenate([kinds, kinds]))
+            graph = step_graph(step, hub, others, kinds)
             engine.step(graph)
         dosed = cols.dose1_at != NEVER
         infected = cols.infected_at != NEVER
@@ -469,9 +522,7 @@ class TestVaccination:
         others = np.arange(1, n, dtype=np.int32)
         kinds = np.zeros(n - 1, dtype=np.int8)
         for step in range(8):
-            graph = step_graph(step, np.concatenate([hub, others]).astype(np.int32),
-                               np.concatenate([others, hub]).astype(np.int32),
-                               np.concatenate([kinds, kinds]))
+            graph = step_graph(step, hub, others, kinds)
             engine.step(graph)
         infected = (cols.infected_at != NEVER) & (np.arange(n) != 0)
         assert infected.sum() > 10  # unreduced infection rate
@@ -527,7 +578,7 @@ def test_contact_log_reuses_a_repeated_household_block():
         empty = np.empty(0, dtype=np.int32)
         graph = StepGraph(step, (household, (empty, empty), random))
         log.push(graph)
-        full.push(graph)
+        full.push(doubled(graph))
         notifiers = np.flatnonzero(has_app & (rng.random(n) < 0.5))
         expected = full.contacts_of(notifiers)
         assert np.array_equal(log.contacts_of(notifiers), expected[has_app[expected]])

@@ -197,11 +197,8 @@ class TestIndependentEdgesMode:
         n_leaves = 4
         leaves = np.arange(1, n_leaves + 1, dtype=np.int32)
         hub = np.zeros(n_leaves, dtype=np.int32)
-        graph = step_graph(4,
-                           np.concatenate([hub, leaves]).astype(np.int32),
-                           np.concatenate([leaves, hub]).astype(np.int32),
-                           np.full(2 * n_leaves, int(NetworkKind.RANDOM),
-                                   dtype=np.int8))
+        graph = step_graph(4, hub, leaves,
+                           np.full(n_leaves, int(NetworkKind.RANDOM), dtype=np.int8))
         trials = 100_000
         hits = 0
         table = simple_table()

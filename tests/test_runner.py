@@ -391,6 +391,18 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match=f"^{key}: {message}"):
             scenario_from_dict({key: value}, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("key", ["population", "disease", "progression"])
+    def test_null_section_is_config_error(self, tmp_path, capsys, key):
+        """Only an absent section takes the packaged default; null is an error."""
+        message = f"{key}: expected an object or a file path, got null"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            scenario_from_dict({key: None})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"horizon": 3, key: None}))
+        assert main(["simulate", "--scenario", str(bad),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_csv(self):
@@ -712,6 +724,13 @@ class TestCli:
         out = tmp_path / "out"
         assert exit_code([*argv(out), *flags]) == code
         assert check(out, *capsys.readouterr(), base)
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["engine", "oracle"])
+    def test_bench_counts_directed_interactions(self, capsys, flags):
+        """Steps store each interaction once, as a pair; ``bench`` still counts
+        the directed interactions, two per pair, as it always has."""
+        assert main(["bench", "--agents", "5000", "--steps", "3", *flags]) == 0
+        assert "5000 agents x 3 steps: 168,516 interactions in" in capsys.readouterr().out
 
     def test_verify_ok_and_bench(self, tmp_path, capsys):
         scenario = self.write_scenario(tmp_path, interventions={
