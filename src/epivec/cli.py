@@ -32,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _workers(text: str) -> int:
+    """A ``--threads`` value: a whole number of workers, at least 1."""
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="epivec",
@@ -45,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario's base seed")
     p.add_argument("--out", required=True, help="output directory for run CSVs")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_workers, default=1,
                    help="concurrent replication workers")
 
     p = sub.add_parser("summarize", help="quartile summary over a run directory")
@@ -66,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="matched-seed comparison of scenarios")
     p.add_argument("--scenarios", nargs="+", required=True)
     p.add_argument("--out", default=None, help="comparison CSV path")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_workers, default=1)
 
     return parser
 

@@ -2,11 +2,12 @@
 loaders raise ConfigError through.
 
 Each config class is a ``Config`` dataclass, the schema of one JSON object:
-it declares each key once, as a field made by ``setting``.  From those
-declarations ``Config.from_dict`` derives the unknown-key check and the typed
-read of every key with its default, and construction derives each list's
-length check and every bound.  Each error names the path of the field, e.g.
-``interventions.den.lookback: expected a value >= 1, got 0``.
+it declares each key once, as a field made by ``setting`` (``from_`` for the
+key ``from``).  ``Config.from_dict`` derives the unknown-key check and the
+defaults from those declarations; ``Setting.check`` types and checks every
+value, read from JSON or set in Python, down to a list of nested objects.
+Each error names the path of the field, e.g.
+``progression.edges[3].probability[7]: expected a value in [0, 1], got 1.4``.
 
 Exit-code mapping used by the CLI: ConfigError (and command-line usage
 errors) -> 1, InvariantViolation -> 2, VerificationDivergence -> 3, any other
@@ -64,9 +65,10 @@ class Setting:
     """How one config key is read and checked.
 
     ``kind`` is bool, int, float or str, a dict of named choices, or a class
-    with a ``from_dict`` (a nested object).  ``size`` makes the value a list
-    of ``kind`` numbers: of that many entries, of any length for ``...``, or,
-    for a tuple of names, an object with one number per name, in that order.
+    with a ``from_dict(value, where)`` (a nested object).  ``size`` makes the
+    value a list of ``kind`` entries: of that many entries, of any length for
+    ``...``, or, for a tuple of names, an object with one number per name.
+    A list of numbers becomes an array; a list of objects stays a list.
     ``lo`` and ``hi`` bound every number.
     """
 
@@ -75,41 +77,29 @@ class Setting:
     hi: float = math.inf
     size: object = None
 
-    def parse(self, value, where: str):
-        """The JSON ``value`` as this setting's kind; a value of another type
-        raises a ConfigError naming ``where`` (and the entry, in a list)."""
-        if isinstance(self.size, tuple):
-            checked(value, self.size, where)
-            return [_scalar(value.get(name), self.kind, f"{where}.{name}")
-                    for name in self.size]
-        if self.size is not None:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{where}: expected a list, got {value!r}")
-            return [_scalar(v, self.kind, f"{where}[{i}]") for i, v in enumerate(value)]
-        return _scalar(value, self.kind, where)
-
     def check(self, value, where: str):
-        """``value``, once its type, length and bounds hold (else a ConfigError
-        naming ``where``); a list comes back as an int64 or float64 array.
-        A class may be built in Python, not read from JSON, so a number, bool
-        or string whose type is not exactly its kind is typed as ``parse``
-        types it."""
+        """``value`` as this setting's kind, once its type, length and bounds
+        hold; else a ConfigError naming ``where`` (and the entry, in a list).
+        JSON and Python values are typed alike: a choice's name becomes the
+        choice, and an object a nested instance; a value set in Python that
+        already is one is kept, as is a list in the order of ``size``'s names."""
+        names = self.size if isinstance(self.size, tuple) else ()
+        if names and not isinstance(value, (list, tuple, np.ndarray)):
+            value = [checked(value, names, where).get(name) for name in names]
         if self.size is None:
-            if self.kind in (int, float, bool, str) and type(value) is not self.kind:
-                value = _scalar(value, self.kind, where)
+            value = _scalar(value, self.kind, where)
         elif not isinstance(value, (list, tuple, np.ndarray)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        elif any(type(v) is not self.kind for v in value):
-            names = self.size if isinstance(self.size, tuple) else ()
+        else:
             value = [_scalar(v, self.kind, f"{where}.{names[i]}" if i < len(names)
                              else f"{where}[{i}]") for i, v in enumerate(value)]
-        if self.size is not None:
+        if self.size is not None and self.kind in (int, float):
             value = np.asarray(value, dtype=np.int64 if self.kind is int else np.float64)
-            n = len(self.size) if isinstance(self.size, tuple) else self.size
+            n = len(names) or self.size
             if n is not ... and value.shape != (n,):
                 raise ConfigError(f"{where}: expected {n} entries, got shape {value.shape}")
-        if isinstance(self.size, tuple):
-            for name, entry in zip(self.size, value):
+        if names:
+            for name, entry in zip(names, value):
                 in_range(f"{where}.{name}", entry, self.lo, self.hi)
         elif (self.lo, self.hi) != (-math.inf, math.inf):
             in_range(where, value, self.lo, self.hi)
@@ -117,9 +107,10 @@ class Setting:
 
 
 def setting(kind, default=MISSING, *, lo=-math.inf, hi=math.inf, size=None):
-    """A ``Config`` field read from the JSON key of its name (see ``Setting``).
-    An absent key takes ``default``, a fresh instance if ``default`` is a
-    class; a field without a default is a required key."""
+    """A ``Config`` field read from the JSON key of its name, less a trailing
+    ``_`` (PEP 8's ``from_`` for the keyword ``from``); see ``Setting``.  An
+    absent key takes ``default``, a fresh instance if ``default`` is a class;
+    a field without one is required, and ``None`` marks an optional object."""
     metadata = {"setting": Setting(kind, lo, hi, size)}
     if isinstance(default, type):
         return field(default_factory=default, metadata=metadata)
@@ -134,26 +125,31 @@ class Config:
     NOTES = ()
 
     @classmethod
-    def from_dict(cls, d):
-        """An instance read from the JSON object ``d``.  An unknown key, a value
-        of the wrong type or an absent required key raises a ConfigError
-        naming its path; an absent key with a default takes it."""
-        schema = [f for f in fields(cls) if "setting" in f.metadata]
-        checked(d, (*(f.name for f in schema), *cls.NOTES), cls.PATH)
-        for f in schema:
-            if (f.name not in d and f.default is MISSING
-                    and f.default_factory is MISSING):
-                raise ConfigError(f"{_join(cls.PATH, f.name)}: required key missing")
-        return cls(**{f.name: f.metadata["setting"].parse(d[f.name],
-                                                            _join(cls.PATH, f.name))
-                      for f in schema if f.name in d})
+    def from_dict(cls, d, where=None):
+        """An instance read from the JSON object ``d`` at ``where`` (``PATH`` by
+        default), which it takes as its ``PATH`` before construction checks each
+        value once, so every error, an unknown or absent key too, names its path."""
+        config = cls.__new__(cls)
+        object.__setattr__(config, "PATH", cls.PATH if where is None else where)
+        schema = _schema(cls)
+        checked(d, (*schema, *cls.NOTES), config.PATH)
+        for key, f in schema.items():
+            if key not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{_join(config.PATH, key)}: required key missing")
+        config.__init__(**{f.name: d[key] for key, f in schema.items() if key in d})
+        return config
 
     def __post_init__(self):
-        for f in fields(self):
-            if "setting" in f.metadata:
-                value = f.metadata["setting"].check(getattr(self, f.name),
-                                                    _join(self.PATH, f.name))
+        for key, f in _schema(type(self)).items():
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:   # None: left out, optional
+                value = f.metadata["setting"].check(value, _join(self.PATH, key))
                 object.__setattr__(self, f.name, value)   # frozen classes too
+
+
+def _schema(cls) -> dict:
+    """The ``setting`` fields of ``cls`` by JSON key: ``from_`` reads ``from``."""
+    return {f.name.removesuffix("_"): f for f in fields(cls) if "setting" in f.metadata}
 
 
 def _join(path: str, key: str) -> str:
@@ -164,7 +160,7 @@ _TYPE_NAMES = {bool: "true or false", str: "a string"}
 
 
 def _scalar(value, kind, where: str):
-    """One JSON value as ``kind``; an int must be whole and fit in int64."""
+    """One value as ``kind``; an int must be whole and fit in int64."""
     if kind is float or kind is int:
         if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                 or not math.isfinite(value)):
@@ -175,15 +171,17 @@ def _scalar(value, kind, where: str):
             raise ConfigError(f"{where}: expected a whole number in the int64 range, "
                               f"got {value!r}")
         return kind(value)
-    if isinstance(kind, dict):
-        if not isinstance(value, str) or value not in kind:
+    if isinstance(kind, dict):   # a choice's name, or the choice itself
+        if isinstance(value, str) and value in kind:
+            return kind[value]
+        if isinstance(value, str) or not isinstance(value, type(next(iter(kind.values())))):
             raise ConfigError(f"{where}: expected one of {sorted(kind)}, got {value!r}")
-        return kind[value]
+        return value
     if kind in _TYPE_NAMES:
         if not isinstance(value, kind):
             raise ConfigError(f"{where}: expected {_TYPE_NAMES[kind]}, got {value!r}")
         return value
-    return kind.from_dict(value)
+    return value if isinstance(value, kind) else kind.from_dict(value, where)
 
 
 def positive(where: str, value) -> None:

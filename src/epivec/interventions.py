@@ -147,11 +147,9 @@ def priority_sort_key(strategy: Strategy, elderly_band: int,
         group = np.where(dose2_eligible, 0, 1).astype(np.int8)
     elif strategy == Strategy.DELAYED_SECOND_DOSE:
         group = np.where(dose2_eligible, 1, 0).astype(np.int8)
-    elif strategy == Strategy.DELAYED_EXCEPT_ELDERLY:
+    else:   # DELAYED_EXCEPT_ELDERLY: VaccinePolicy types every strategy it holds
         elderly = age_band >= elderly_band
         group = np.where(elderly, 0, np.where(dose2_eligible, 2, 1)).astype(np.int8)
-    else:
-        raise ConfigError(f"unknown vaccination strategy {strategy!r}")
     return np.lexsort((agent_id, dose_rank, -age_band.astype(np.int64), group))
 
 

@@ -13,12 +13,12 @@ identical values from identical keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, Setting, checked, positive
+from .errors import Config, ConfigError, Setting, checked, positive, setting
 from .stages import NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
 
 # Transitions the model allows.  SUSCEPTIBLE edges are entry branches taken at
@@ -37,7 +37,7 @@ LEGAL_EDGES = {
 # Each duration family's parameters; all but a lognormal's mu must be positive.
 _DURATION_PARAMS = {"gamma": ("mean", "sd"), "lognormal": ("mu", "sigma"),
                    "constant": ("days",)}
-_PROBABILITY = Setting(float, lo=0, hi=1, size=N_AGE_BANDS)   # one per age band
+_FAMILY, _PARAMETER = Setting(_DURATION_PARAMS), Setting(float)
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,15 @@ class DurationSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "DurationSpec":
-        family = d.get("family") if isinstance(d, dict) else None
-        names = Setting(_DURATION_PARAMS).parse(family, f"{where}.family")
+        """The object ``d`` at ``where``, whose ``family`` names its numbers."""
+        names = (_FAMILY.check(d.get("family"), f"{where}.family")
+                 if isinstance(d, dict) else ())   # not an object: refused below
         checked(d, ("family", *names), where)
-        params = tuple(Setting(float).parse(d.get(name), f"{where}.{name}") for name in names)
+        params = tuple(_PARAMETER.check(d.get(name), f"{where}.{name}") for name in names)
         for name, value in zip(names, params):
             if name != "mu":
                 positive(f"{where}.{name}", value)
-        return cls(family, params)
+        return cls(d["family"], params)
 
 
 def round_delay(days):
@@ -89,11 +90,59 @@ class StageRule:
     durations: list[DurationSpec | None]
 
 
-class ProgressionTable:
-    """Validated transition table; raises ConfigError with the offending path."""
+@dataclass(frozen=True)
+class Edge(Config):
+    """One transition: its branch probability per age band and, unless it is
+    an entry branch, the duration of the stage it leaves."""
 
-    def __init__(self, rules: dict[Stage, StageRule]):
-        self.rules = rules
+    PATH = "progression.edges[i]"
+
+    from_: Stage = setting(STAGE_BY_NAME)
+    to: Stage = setting(STAGE_BY_NAME)
+    probability: np.ndarray = setting(float, lo=0, hi=1, size=N_AGE_BANDS)
+    duration: DurationSpec | None = setting(DurationSpec, None)
+
+
+@dataclass(eq=False)
+class ProgressionTable(Config):
+    """Validated transition table; raises ConfigError with the offending path.
+    The schema checks each edge; the rules across edges are checked here."""
+
+    PATH = "progression"
+    NOTES = ("schema_version", "comment")
+
+    edges: list[Edge] = setting(Edge, size=...)
+    rules: dict[Stage, StageRule] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        by_stage: dict[Stage, list[Edge]] = {}
+        for i, edge in enumerate(self.edges):
+            where, src = f"{self.PATH}.edges[{i}]", edge.from_
+            if edge.to not in LEGAL_EDGES.get(src, ()):
+                raise ConfigError(f"{where}: illegal transition {src!s} -> {edge.to!s}")
+            if any(e.to == edge.to for e in by_stage.get(src, ())):
+                raise ConfigError(f"{where}: duplicate transition {src!s} -> {edge.to!s}")
+            if (edge.duration is None) != (src == Stage.SUSCEPTIBLE):
+                raise ConfigError(f"{where}: " + (
+                    "missing duration" if edge.duration is None else
+                    "entry branches take effect at infection and cannot carry a duration"))
+            by_stage.setdefault(src, []).append(edge)
+
+        self.rules = {}
+        for src, edges in by_stage.items():
+            probs = np.stack([e.probability for e in edges], axis=1)  # (bands, n)
+            sums = probs.sum(axis=1)
+            bad = np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]
+            if len(bad):
+                raise ConfigError(
+                    f"{self.PATH}.edges: branch probabilities out of {src!s} sum "
+                    f"to {sums[bad[0]]:.12g} for age band {int(bad[0])}; must sum to 1")
+            self.rules[src] = StageRule([e.to for e in edges], np.cumsum(probs, axis=1),
+                                        [e.duration for e in edges])
+        for required in LEGAL_EDGES:
+            if required not in self.rules:
+                raise ConfigError(f"{self.PATH}.edges: no edges out of {required!s}")
 
     def entry_stage(self, age_band: int, u: float) -> Stage:
         """Initial infected stage for one agent (oracle path)."""
@@ -153,56 +202,3 @@ class ProgressionTable:
                     d = round_delay(spec.quantile(u_delay[sel]))
                     delay[sel] = d.astype(np.int64)
         return next_stage, delay
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProgressionTable":
-        checked(d, ("schema_version", "comment", "edges"), "progression")
-        edges = d.get("edges")
-        if not isinstance(edges, list) or not edges:
-            raise ConfigError("progression.edges: expected a non-empty list")
-        by_stage: dict[Stage, list[tuple[Stage, np.ndarray, DurationSpec | None]]] = {}
-        for i, e in enumerate(edges):
-            where = f"progression.edges[{i}]"
-            checked(e, ("from", "to", "probability", "duration"), where)
-            try:
-                src, dst = STAGE_BY_NAME[e["from"]], STAGE_BY_NAME[e["to"]]
-            except (KeyError, TypeError) as err:
-                raise ConfigError(f"{where}: 'from' and 'to' must name stages, got "
-                                  f"{e.get('from')!r} -> {e.get('to')!r}") from err
-            if src not in LEGAL_EDGES or dst not in LEGAL_EDGES[src]:
-                raise ConfigError(f"{where}: illegal transition {src!s} -> {dst!s}")
-            probs = _PROBABILITY.check(
-                _PROBABILITY.parse(e.get("probability"), f"{where}.probability"),
-                f"{where}.probability")
-            if src == Stage.SUSCEPTIBLE:
-                duration = None
-                if "duration" in e:
-                    raise ConfigError(f"{where}: entry branches take effect at "
-                                      "infection and cannot carry a duration")
-            else:
-                if "duration" not in e:
-                    raise ConfigError(f"{where}: missing duration")
-                duration = DurationSpec.from_dict(e["duration"], f"{where}.duration")
-            by_stage.setdefault(src, []).append((dst, probs, duration))
-
-        rules: dict[Stage, StageRule] = {}
-        for src, entries in by_stage.items():
-            targets = [t for t, _, _ in entries]
-            if len(set(targets)) != len(targets):
-                raise ConfigError(f"progression.edges: duplicate edge out of {src!s}")
-            probs = np.stack([p for _, p, _ in entries], axis=1)  # (bands, n)
-            sums = probs.sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]
-            if len(bad):
-                raise ConfigError(
-                    f"progression.edges: branch probabilities out of {src!s} sum "
-                    f"to {sums[bad[0]]:.12g} for age band {int(bad[0])}; must sum to 1")
-            rules[src] = StageRule(
-                targets=targets,
-                cum_probs=np.cumsum(probs, axis=1),
-                durations=[dur for _, _, dur in entries],
-            )
-        for required in LEGAL_EDGES:
-            if required not in rules:
-                raise ConfigError(f"progression.edges: no edges out of {required!s}")
-        return cls(rules)

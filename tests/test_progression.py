@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from epivec.errors import ConfigError
-from epivec.progression import DurationSpec, ProgressionTable, round_delay
+from epivec.progression import DurationSpec, Edge, ProgressionTable, round_delay
 from epivec.rng import Purpose, uniform, uniforms
+from epivec.scenario import default_progression_dict
 from epivec.stages import NEVER, Stage
 
 
@@ -62,10 +63,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("ends", [{"from": "susceptibl", "to": "asymptomatic"},
                                       {"from": ["susceptible"], "to": "asymptomatic"},
-                                      {"to": "asymptomatic"}])
+                                      {"to": "asymptomatic"},
+                                      {"from": "susceptible", "to": "asymptomatc"}])
     def test_edge_ends_must_name_stages(self, ends):
-        with pytest.raises(ConfigError, match=r"^progression\.edges\[0\]: 'from' and "
-                                              "'to' must name stages"):
+        with pytest.raises(ConfigError, match=r"^progression\.edges\[0\]\.(from|to): "
+                                              "(expected one of|required key missing)"):
             ProgressionTable.from_dict({"edges": [{**ends, "probability": [1.0] * 9}]})
 
     def test_out_of_range_probability_reports_band(self):
@@ -81,6 +83,41 @@ class TestValidation:
             DurationSpec.from_dict({"family": "weibull", "k": 2}, "edges[0].duration")
         with pytest.raises(ConfigError):
             DurationSpec.from_dict({"family": "gamma", "mean": -1, "sd": 2}, "x")
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda edges: edges[0].update(duration={"family": "constant",
+                                                             "days": 1}),
+                     r"^progression\.edges\[0\]: entry branches take effect at "
+                     "infection and cannot carry a duration$", id="entry duration"),
+        pytest.param(lambda edges: edges[3].pop("duration"),
+                     r"^progression\.edges\[3\]: missing duration$", id="no duration"),
+        pytest.param(lambda edges: edges.append(edges[3]),
+                     r"^progression\.edges\[13\]: duplicate transition asymptomatic "
+                     "-> recovered$",
+                     id="duplicate"),
+        pytest.param(lambda edges: edges.pop(3),
+                     r"^progression\.edges: no edges out of asymptomatic$",
+                     id="missing stage"),
+    ])
+    def test_rules_across_edges(self, change, message):
+        table = default_progression_dict()
+        change(table["edges"])
+        with pytest.raises(ConfigError, match=message):
+            ProgressionTable.from_dict(table)
+
+    def test_table_built_in_python_reads_names(self):
+        """Edges set in Python are typed and checked as the JSON ones are."""
+        table = ProgressionTable.from_dict(default_progression_dict())
+        edges = [Edge(from_=str(e.from_), to=str(e.to), probability=list(e.probability),
+                      duration=e.duration) for e in table.edges]
+        rebuilt = ProgressionTable(edges=edges)
+        assert [(e.from_, e.to) for e in rebuilt.edges] == [(e.from_, e.to)
+                                                           for e in table.edges]
+        assert all(np.array_equal(rebuilt.rules[s].cum_probs, rule.cum_probs)
+                   for s, rule in table.rules.items())
+        with pytest.raises(ConfigError, match=r"^progression\.edges\[i\]\.to: expected "
+                                              "one of"):
+            Edge(from_="susceptible", to="asymptomatc", probability=[1.0] * 9)
 
 
 class TestScheduling:

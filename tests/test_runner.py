@@ -701,6 +701,21 @@ class TestCli:
                      lambda out, stdout, stderr, base:
                      out.read_bytes() == base().read_bytes(),
                      id="compare --threads"),
+        pytest.param("simulate", ["--threads", "0"], 1,
+                     lambda out, stdout, stderr, base:
+                     "argument --threads: expected a whole number >= 1, got '0'" in stderr
+                     and not out.exists(),
+                     id="simulate --threads 0"),
+        pytest.param("simulate", ["--threads", "-4"], 1,
+                     lambda out, stdout, stderr, base:
+                     "argument --threads: expected a whole number >= 1, got '-4'" in stderr
+                     and not out.exists(),
+                     id="simulate --threads -4"),
+        pytest.param("compare", ["--threads", "0"], 1,
+                     lambda out, stdout, stderr, base:
+                     "argument --threads: expected a whole number >= 1, got '0'" in stderr
+                     and not out.exists(),
+                     id="compare --threads 0"),
         pytest.param("simulate", ["--dump-graphs", "graphs"], 1,
                      lambda out, stdout, stderr, base:
                      "unrecognized arguments: --dump-graphs" in stderr,
