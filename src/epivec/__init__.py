@@ -24,8 +24,8 @@ from .runner import (BenchReport, RunResult, bench, initialize_run,
 from .scenario import ScenarioConfig, default_scenario, load_scenario
 from .stages import NetworkKind, Stage, VaccineStatus
 from .state import AgentColumns
-from .transmission import (DiseaseParams, day_weight, day_weight_table,
-                           edge_hazard, infection_probability)
+from .transmission import (DiseaseParams, day_weight_table, edge_hazard,
+                           infection_probability)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "ScenarioConfig", "Stage", "StepEvents", "StepGraph", "Strategy",
     "TestKind", "TEST_KINDS", "VaccinePolicy", "VaccineStatus",
     "VerificationDivergence", "agents_from_columns", "bench",
-    "build_households", "day_weight", "day_weight_table", "default_scenario",
+    "build_households", "day_weight_table", "default_scenario",
     "edge_hazard", "infection_probability", "initialize_run", "load_scenario",
     "replication_seed", "run_replication", "run_scenario", "seed_infections",
     "summarize", "synthesize", "verify_equivalence", "watts_strogatz",

@@ -4,9 +4,11 @@ One ``step(graph)`` call advances the population by one day through a pinned
 phase order (the reference oracle mirrors it exactly):
 
 1. transmission: gather per-agent hazard over the edge blocks, one aggregate
-   infection draw per agent with hazard, entry-stage assignment, progression
-   scheduling for the newly infected;
-2. progression: fire transitions due this step, schedule onward transitions;
+   infection draw per agent with hazard, then ``ProgressionTable.infect`` for
+   the newly infected (entry stage and first scheduled transition);
+2. progression: every agent due this step ``ProgressionTable.enter``s its
+   next stage, which schedules the onward transition (none out of recovered
+   or dead);
 3. test sampling: agents who just turned symptomatic plus notified agents
    whose follow-up test is due;
 4. test result delivery: positives start quarantine and (when enabled)
@@ -70,7 +72,6 @@ class Engine:
             if interventions.den.enabled else None
         self._sterilizing = (interventions.vaccination.immunity_mode
                              == ImmunityMode.STERILIZING)
-        self._checked = [(None, None)] * N_NETWORK_KINDS   # last block checked per kind
 
     # -- transmission -----------------------------------------------------
 
@@ -129,11 +130,7 @@ class Engine:
         if graph.step != step:
             raise InvariantViolation(
                 f"graph built for step {graph.step}, engine clock is {step}")
-        for kind, (u, v) in enumerate(graph.blocks):
-            last_u, last_v = self._checked[kind]
-            if (u is last_u and v is last_v
-                    and not (u.flags.writeable or v.flags.writeable)):
-                continue   # the same read-only block passed last step
+        for u, v in graph.blocks:
             if len(u):
                 top = max(int(u.max()), int(v.max()))
                 if top >= c.n_agents:
@@ -141,11 +138,10 @@ class Engine:
                         f"graph references agent {top} >= n_agents {c.n_agents}")
                 if np.any(u == v):
                     raise InvariantViolation("graph contains a self-loop")
-            self._checked[kind] = (u, v)
         ev = StepEvents(step=step, n_edges=graph.n_edges)
 
         self._phase_transmission(graph, ev)
-        newly_symptomatic = self._phase_progression(ev)
+        newly_symptomatic = self._phase_progression()
         if self.iv.testing.enabled:
             self._phase_test_sampling(newly_symptomatic, ev)
             self._phase_test_delivery(ev)
@@ -161,7 +157,6 @@ class Engine:
         return ev
 
     def _phase_transmission(self, graph: StepGraph, ev: StepEvents) -> None:
-        c = self.cols
         step = self.clock
         hazard = self.gather_exposure(graph)
         if np.any(hazard < 0):
@@ -170,43 +165,16 @@ class Engine:
         exposed = np.flatnonzero(hazard)
         u = uniforms(self.seed, step, Purpose.INFECTION, exposed)
         new = exposed[u < 1.0 - np.exp(-hazard[exposed])]
-        if not len(new):
-            return
-        u_entry = uniforms(self.seed, step, Purpose.ENTRY_STAGE, new)
-        entry = self.table.entry_stages(c.age_band[new], u_entry)
-        if not self._sterilizing:
-            entry = np.where(c.immune[new], np.int8(Stage.ASYMPTOMATIC), entry)
-        c.stage[new] = entry
-        c.infected_at[new] = step
-        u_b = uniforms(self.seed, step, Purpose.PROGRESSION_BRANCH, new)
-        u_d = uniforms(self.seed, step, Purpose.PROGRESSION_DELAY, new)
-        nxt, delay = self.table.schedule_transitions(entry, c.age_band[new], u_b, u_d)
-        c.next_stage[new] = nxt
-        c.next_transition_at[new] = step + delay
+        self.table.infect(self.cols, new, self.seed, step)
         ev.new_infections = len(new)
 
-    def _phase_progression(self, ev: StepEvents) -> np.ndarray:
+    def _phase_progression(self) -> np.ndarray:
         c = self.cols
-        step = self.clock
-        due = np.nonzero(c.next_transition_at == step)[0]
-        if not len(due):
-            return np.empty(0, dtype=np.int64)
-        dest = c.next_stage[due].copy()
-        c.stage[due] = dest
-        symptomatic = due[(dest == int(Stage.MILD_SYMPTOMATIC))
-                          | (dest == int(Stage.SEVERE_SYMPTOMATIC))]
-        absorbing = (dest == int(Stage.RECOVERED)) | (dest == int(Stage.DEAD))
-        c.next_stage[due[absorbing]] = NEVER
-        c.next_transition_at[due[absorbing]] = NEVER
-        onward = due[~absorbing]
-        if len(onward):
-            u_b = uniforms(self.seed, step, Purpose.PROGRESSION_BRANCH, onward)
-            u_d = uniforms(self.seed, step, Purpose.PROGRESSION_DELAY, onward)
-            nxt, delay = self.table.schedule_transitions(
-                c.stage[onward], c.age_band[onward], u_b, u_d)
-            c.next_stage[onward] = nxt
-            c.next_transition_at[onward] = step + delay
-        return symptomatic
+        due = np.nonzero(c.next_transition_at == self.clock)[0]
+        dest = c.next_stage[due]
+        self.table.enter(c, due, dest, self.seed, self.clock)
+        return due[(dest == int(Stage.MILD_SYMPTOMATIC))
+                   | (dest == int(Stage.SEVERE_SYMPTOMATIC))]
 
     def _phase_test_sampling(self, newly_symptomatic: np.ndarray,
                              ev: StepEvents) -> None:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Config, ConfigError, setting
-from . import rng as keyed
+from .progression import ProgressionTable
 from .rng import Purpose, substream
-from .stages import NEVER, N_AGE_BANDS, N_OCCUPATIONS, Stage
+from .stages import N_AGE_BANDS, N_OCCUPATIONS, Stage
 from .state import AgentColumns
 
 _DIST_TOL = 1e-9
@@ -134,9 +134,10 @@ def synthesize(spec: PopulationSpec, seed: int) -> AgentColumns:
     return cols
 
 
-def seed_infections(cols: AgentColumns, count: int, seed: int, table) -> np.ndarray:
-    """Move ``count`` uniformly chosen susceptible agents into an initial
-    infected stage at step 0 and schedule their first transition.
+def seed_infections(cols: AgentColumns, count: int, seed: int,
+                    table: ProgressionTable) -> np.ndarray:
+    """Infect ``count`` uniformly chosen susceptible agents at step 0 through
+    ``table.infect``.
 
     Returns the chosen agent ids.  Raises when count exceeds the susceptible
     population.
@@ -145,19 +146,7 @@ def seed_infections(cols: AgentColumns, count: int, seed: int, table) -> np.ndar
     if count > len(susceptible):
         raise ConfigError(f"initial_infections={count} exceeds susceptible "
                           f"population {len(susceptible)}")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
     chooser = substream(seed, Purpose.SEEDING)
     chosen = np.sort(chooser.choice(susceptible, size=count, replace=False))
-
-    u_entry = keyed.uniforms(seed, 0, Purpose.ENTRY_STAGE, chosen)
-    entry = table.entry_stages(cols.age_band[chosen], u_entry)
-    cols.stage[chosen] = entry
-    cols.infected_at[chosen] = 0
-    u_branch = keyed.uniforms(seed, 0, Purpose.PROGRESSION_BRANCH, chosen)
-    u_delay = keyed.uniforms(seed, 0, Purpose.PROGRESSION_DELAY, chosen)
-    nxt, delay = table.schedule_transitions(entry, cols.age_band[chosen],
-                                            u_branch, u_delay)
-    cols.next_stage[chosen] = nxt
-    cols.next_transition_at[chosen] = 0 + delay
+    table.infect(cols, chosen, seed, 0)
     return chosen

@@ -7,7 +7,10 @@ rounded to whole steps with a floor of one step.
 
 Branch and duration draws are quantile transforms of keyed uniforms, so the
 engine (array ``ppf`` calls) and the oracle (scalar ``ppf`` calls) sample
-identical values from identical keys.
+identical values from identical keys.  The table also writes stage entries
+into the agent columns: ``infect`` draws an entry stage and ``enter`` writes
+a stage and schedules the transition out of it, for seeding, transmission
+and progression alike.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from . import rng as keyed
 from .errors import Config, ConfigError, Setting, checked, positive, setting
+from .rng import Purpose
 from .stages import NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
+from .state import AgentColumns
 
 # Transitions the model allows.  SUSCEPTIBLE edges are entry branches taken at
 # the moment of infection (no duration); everything else is scheduled.
@@ -42,10 +48,27 @@ _FAMILY, _PARAMETER = Setting(_DURATION_PARAMS), Setting(float)
 
 @dataclass(frozen=True)
 class DurationSpec:
-    """Family + parameters of one edge's stage-duration distribution (days)."""
+    """Family + parameters of one edge's stage-duration distribution (days),
+    checked at construction: a known family, its parameter count, and every
+    parameter but a lognormal's ``mu`` positive."""
+
+    PATH = "progression.edges[i].duration"
 
     family: str           # "gamma", "lognormal", or "constant"
     params: tuple
+
+    def __post_init__(self):
+        names = _FAMILY.check(self.family, f"{self.PATH}.family")
+        if not isinstance(self.params, (tuple, list)) or len(self.params) != len(names):
+            raise ConfigError(f"{self.PATH}: expected the {len(names)} parameters "
+                              f"({', '.join(names)}) of {self.family}, "
+                              f"got {self.params!r}")
+        params = tuple(_PARAMETER.check(value, f"{self.PATH}.{name}")
+                       for name, value in zip(names, self.params))
+        for name, value in zip(names, params):
+            if name != "mu":
+                positive(f"{self.PATH}.{name}", value)
+        object.__setattr__(self, "params", params)
 
     def quantile(self, u):
         """Inverse CDF; u may be a scalar or an array."""
@@ -57,23 +80,21 @@ class DurationSpec:
         if self.family == "lognormal":
             mu, sigma = self.params
             return stats.lognorm.ppf(u, sigma, scale=math.exp(mu))
-        if self.family == "constant":
-            days = self.params[0]
-            return np.full_like(np.asarray(u, dtype=np.float64), days) \
-                if np.ndim(u) else float(days)
-        raise ConfigError(f"unknown duration family {self.family!r}")
+        days = self.params[0]   # constant
+        return np.full_like(np.asarray(u, dtype=np.float64), days) \
+            if np.ndim(u) else float(days)
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "DurationSpec":
-        """The object ``d`` at ``where``, whose ``family`` names its numbers."""
+        """The object ``d`` at ``where``, whose ``family`` names its numbers;
+        the spec takes ``where`` as its ``PATH`` before construction checks it."""
         names = (_FAMILY.check(d.get("family"), f"{where}.family")
                  if isinstance(d, dict) else ())   # not an object: refused below
         checked(d, ("family", *names), where)
-        params = tuple(_PARAMETER.check(d.get(name), f"{where}.{name}") for name in names)
-        for name, value in zip(names, params):
-            if name != "mu":
-                positive(f"{where}.{name}", value)
-        return cls(d["family"], params)
+        spec = cls.__new__(cls)
+        object.__setattr__(spec, "PATH", where)
+        spec.__init__(d["family"], tuple(d.get(name) for name in names))
+        return spec
 
 
 def round_delay(days):
@@ -181,8 +202,8 @@ class ProgressionTable(Config):
                              ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized scheduling for a batch of agents (engine path).
 
-        Agents in absorbing stages get (NEVER, NEVER) back; scheduling them is
-        the caller's bug and is guarded there.
+        Agents in absorbing stages get (NEVER, NEVER) back: ``enter`` relies on
+        it to leave recovered and dead agents with no next transition.
         """
         n = len(stages)
         next_stage = np.full(n, NEVER, dtype=np.int8)
@@ -202,3 +223,25 @@ class ProgressionTable(Config):
                     d = round_delay(spec.quantile(u_delay[sel]))
                     delay[sel] = d.astype(np.int64)
         return next_stage, delay
+
+    def enter(self, cols: AgentColumns, ids: np.ndarray, stages: np.ndarray,
+              seed: int, step: int) -> None:
+        """Move agents ``ids`` into ``stages`` at ``step`` and schedule where
+        and when each goes next, from its keyed branch and delay draws; an
+        absorbing stage leaves ``next_stage`` and ``next_transition_at`` NEVER."""
+        cols.stage[ids] = stages
+        u_branch = keyed.uniforms(seed, step, Purpose.PROGRESSION_BRANCH, ids)
+        u_delay = keyed.uniforms(seed, step, Purpose.PROGRESSION_DELAY, ids)
+        nxt, delay = self.schedule_transitions(stages, cols.age_band[ids],
+                                               u_branch, u_delay)
+        cols.next_stage[ids] = nxt
+        cols.next_transition_at[ids] = np.where(nxt == NEVER, NEVER, step + delay)
+
+    def infect(self, cols: AgentColumns, ids: np.ndarray, seed: int, step: int) -> None:
+        """Infect agents ``ids`` at ``step``: each ``enter``s the entry stage
+        drawn for its age band, or ``asymptomatic`` if it holds vaccine immunity."""
+        u_entry = keyed.uniforms(seed, step, Purpose.ENTRY_STAGE, ids)
+        entry = self.entry_stages(cols.age_band[ids], u_entry)
+        entry = np.where(cols.immune[ids], np.int8(Stage.ASYMPTOMATIC), entry)
+        cols.infected_at[ids] = step
+        self.enter(cols, ids, entry, seed, step)

@@ -6,17 +6,18 @@ One interaction between an infectious source and a susceptible target on day
     lam = rate_scale * age_susceptibility[target band]
           * asymptomatic_factor (if the source shows no symptoms yet)
           * network_scale[kind] / mean_daily_interactions
-          * day_weight(t)
+          * day_weights[t]
 
 and converts to an infection probability ``1 - exp(-lam)``.  Hazards from
 multiple interactions add, so a single draw against the summed hazard is
 exactly equivalent to independent per-interaction draws.
 
-``day_weight(t)`` integrates a gamma infectiousness curve over day ``t``:
+``day_weights[t]`` integrates a gamma infectiousness curve over day ``t``:
 zero at infection, peaking at an intermediate day, decaying to zero.  The
 curve is parameterized by its mean and standard deviation in days
-(shape = mean^2/sd^2, scale = sd^2/mean) and precomputed as a lookup table
-out to the day where the residual tail mass drops below ``TAIL_EPS``.
+(shape = mean^2/sd^2, scale = sd^2/mean).  ``day_weight_table`` is the one
+place it is computed: a lookup table, ``DiseaseParams.day_weights``, out to
+the day where the residual tail mass drops below ``TAIL_EPS``.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ MAX_TAIL_DAY = 3650   # ten years; mean = sd = 100 days ends on day 1,382
 _NETWORK_NAMES = tuple(kind.name.lower() for kind in NetworkKind)
 
 
-def _infectiousness_curve(mean_days: float, sd_days: float):
-    """The gamma distribution of the given mean and sd, both checked > 0."""
-    positive("disease.infectiousness_mean_days", mean_days)
-    positive("disease.infectiousness_sd_days", sd_days)
-    return stats.gamma((mean_days / sd_days) ** 2, scale=sd_days * sd_days / mean_days)
-
-
 def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
     """Lookup table w[t] = F(t) - F(t-1) for t = 1..T_max; w[0] = 0.
 
@@ -49,8 +43,11 @@ def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
     curve for which that day is not finite or exceeds MAX_TAIL_DAY is a
     ConfigError, raised before the table is allocated.
     """
+    positive("disease.infectiousness_mean_days", mean_days)
+    positive("disease.infectiousness_sd_days", sd_days)
     try:
-        dist = _infectiousness_curve(mean_days, sd_days)
+        dist = stats.gamma((mean_days / sd_days) ** 2,
+                           scale=sd_days * sd_days / mean_days)
         with np.errstate(invalid="ignore", over="ignore"):
             t_max = int(math.ceil(dist.isf(TAIL_EPS)))
     except (OverflowError, ValueError):   # shape or tail day overflows, or is NaN
@@ -67,17 +64,6 @@ def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
     cdf = dist.cdf(np.arange(0, t_max + 1, dtype=np.float64))
     weights = np.diff(cdf)
     return np.concatenate(([0.0], weights))
-
-
-def day_weight(t: int, mean_days: float, sd_days: float) -> float:
-    """Single day weight; table-free form used for spot checks.
-
-    Rejects t < 1: infectiousness starts the day after infection.
-    """
-    if t < 1:
-        raise ValueError(f"days since infection must be >= 1, got {t}")
-    dist = _infectiousness_curve(mean_days, sd_days)
-    return float(dist.cdf(t) - dist.cdf(t - 1))
 
 
 @dataclass

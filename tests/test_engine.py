@@ -152,29 +152,40 @@ class TestTrivialCases:
         with pytest.raises(InvariantViolation, match="n_agents"):
             engine.step(bad)
 
-    @pytest.mark.parametrize("bad_src, bad_dst, match", [
-        ([0, 7], [1, 2], "n_agents"),
-        ([0, 2], [1, 2], "self-loop"),
-    ])
-    def test_new_read_only_household_block_is_checked(self, bad_src, bad_dst, match):
-        """A read-only household block that passed is not checked again while
-        the same object comes back; a new one is, read-only or not."""
-        def household(src, dst):
-            block = (np.array(src, dtype=np.int32), np.array(dst, dtype=np.int32))
-            for a in block:
-                a.flags.writeable = False
-            return block
+    @staticmethod
+    def household_graph(step, block):
+        empty = np.empty(0, dtype=np.int32)
+        return StepGraph(step, (block, (empty, empty), (empty, empty)))
 
-        def graph(step, block):
-            empty = np.empty(0, dtype=np.int32)
-            return StepGraph(step, (block, (empty, empty), (empty, empty)))
+    @staticmethod
+    def read_only(*arrays):
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
+    def test_new_read_only_household_block_is_checked(self):
         engine = make_engine(blank_state(3))
-        good = household([0], [1])
-        engine.step(graph(0, good))
-        engine.step(graph(1, good))
-        with pytest.raises(InvariantViolation, match=match):
-            engine.step(graph(2, household(bad_src, bad_dst)))
+        good = self.read_only(np.array([0], dtype=np.int32), np.array([1], dtype=np.int32))
+        engine.step(self.household_graph(0, good))
+        engine.step(self.household_graph(1, good))
+        bad = self.read_only(np.array([0, 7], dtype=np.int32),
+                             np.array([1, 2], dtype=np.int32))
+        with pytest.raises(InvariantViolation, match="n_agents"):
+            engine.step(self.household_graph(2, bad))
+
+    def test_same_read_only_household_block_is_checked_again(self):
+        """A block that passed is checked again when the same read-only
+        objects come back, so a self-pair written into it in between is caught."""
+        engine = make_engine(blank_state(3))
+        block = self.read_only(np.array([0, 1], dtype=np.int32),
+                               np.array([1, 2], dtype=np.int32))
+        engine.step(self.household_graph(0, block))
+        for a in block:
+            a.flags.writeable = True
+        block[1][1] = 1
+        self.read_only(*block)
+        with pytest.raises(InvariantViolation, match="self-loop"):
+            engine.step(self.household_graph(1, block))
 
 
 class TestGather:

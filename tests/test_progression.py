@@ -1,13 +1,21 @@
-"""Progression table validation, scheduling, and Monte Carlo branch checks."""
+"""Progression table validation, scheduling, stage entry, and Monte Carlo
+branch checks."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epivec.errors import ConfigError
-from epivec.progression import DurationSpec, Edge, ProgressionTable, round_delay
+from epivec.progression import (LEGAL_EDGES, DurationSpec, Edge, ProgressionTable,
+                                round_delay)
 from epivec.rng import Purpose, uniform, uniforms
 from epivec.scenario import default_progression_dict
-from epivec.stages import NEVER, Stage
+from epivec.stages import NEVER, N_AGE_BANDS, Stage
+from epivec.state import AgentColumns
+
+from test_interventions import blank_state, simple_table
 
 
 def minimal_table(p_hosp_80plus=0.3, asymp_duration=None):
@@ -83,6 +91,27 @@ class TestValidation:
             DurationSpec.from_dict({"family": "weibull", "k": 2}, "edges[0].duration")
         with pytest.raises(ConfigError):
             DurationSpec.from_dict({"family": "gamma", "mean": -1, "sd": 2}, "x")
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("gamma", (-1.0, 2.0), r"\.mean: expected a value > 0, got -1\.0$"),
+        ("weibull", (1.0,), r"\.family: expected one of \['constant', 'gamma', "
+                            r"'lognormal'\], got 'weibull'$"),
+        ("constant", (0,), r"\.days: expected a value > 0, got 0\.0$"),
+        ("lognormal", (1.5,), r": expected the 2 parameters \(mu, sigma\) of "
+                              r"lognormal, got \(1\.5,\)$"),
+    ])
+    def test_duration_built_in_python_is_checked(self, family, params, message):
+        with pytest.raises(ConfigError,
+                           match=r"^progression\.edges\[i\]\.duration" + message):
+            DurationSpec(family, params)
+
+    def test_duration_read_from_json_names_its_edge(self):
+        table = default_progression_dict()
+        table["edges"][3]["duration"] = {"family": "gamma", "mean": -1, "sd": 2}
+        with pytest.raises(ConfigError, match=r"^progression\.edges\[3\]\.duration"
+                                              r"\.mean: expected a value > 0, got -1\.0$"):
+            ProgressionTable.from_dict(table)
+        assert DurationSpec("gamma", [5, 2]).params == (5.0, 2.0)
 
     @pytest.mark.parametrize("change, message", [
         pytest.param(lambda edges: edges[0].update(duration={"family": "constant",
@@ -185,7 +214,6 @@ class TestScheduling:
         assert abs(freq - 0.3) < 0.005
 
     def test_only_legal_destinations_fire(self):
-        from epivec.progression import LEGAL_EDGES
         table = minimal_table()
         rng = np.random.default_rng(2)
         for stage in (Stage.ASYMPTOMATIC, Stage.PRESYMPTOMATIC_MILD,
@@ -198,3 +226,121 @@ class TestScheduling:
                     float(rng.random()), float(rng.random()))
                 assert nxt in LEGAL_EDGES[stage]
                 assert delay >= 1
+
+
+@functools.lru_cache(maxsize=None)
+def default_table():
+    return ProgressionTable.from_dict(default_progression_dict())
+
+
+def parent_infect(table, c, new, seed, step, sterilizing):
+    """Seeding and ``Engine._phase_transmission`` before ``infect``, verbatim
+    but for the names (seeding had no immunity override)."""
+    u_entry = uniforms(seed, step, Purpose.ENTRY_STAGE, new)
+    entry = table.entry_stages(c.age_band[new], u_entry)
+    if not sterilizing:
+        entry = np.where(c.immune[new], np.int8(Stage.ASYMPTOMATIC), entry)
+    c.stage[new] = entry
+    c.infected_at[new] = step
+    u_b = uniforms(seed, step, Purpose.PROGRESSION_BRANCH, new)
+    u_d = uniforms(seed, step, Purpose.PROGRESSION_DELAY, new)
+    nxt, delay = table.schedule_transitions(entry, c.age_band[new], u_b, u_d)
+    c.next_stage[new] = nxt
+    c.next_transition_at[new] = step + delay
+
+
+def parent_progression(table, c, step, seed):
+    """``Engine._phase_progression`` before ``enter``, verbatim but for the
+    names, with its absorbing branch."""
+    due = np.nonzero(c.next_transition_at == step)[0]
+    if not len(due):
+        return np.empty(0, dtype=np.int64)
+    dest = c.next_stage[due].copy()
+    c.stage[due] = dest
+    symptomatic = due[(dest == int(Stage.MILD_SYMPTOMATIC))
+                      | (dest == int(Stage.SEVERE_SYMPTOMATIC))]
+    absorbing = (dest == int(Stage.RECOVERED)) | (dest == int(Stage.DEAD))
+    c.next_stage[due[absorbing]] = NEVER
+    c.next_transition_at[due[absorbing]] = NEVER
+    onward = due[~absorbing]
+    if len(onward):
+        u_b = uniforms(seed, step, Purpose.PROGRESSION_BRANCH, onward)
+        u_d = uniforms(seed, step, Purpose.PROGRESSION_DELAY, onward)
+        nxt, delay = table.schedule_transitions(
+            c.stage[onward], c.age_band[onward], u_b, u_d)
+        c.next_stage[onward] = nxt
+        c.next_transition_at[onward] = step + delay
+    return symptomatic
+
+
+ENTERED = sorted({int(t) for targets in LEGAL_EDGES.values() for t in targets})
+ENTRY_COLUMNS = ("stage", "infected_at", "next_stage", "next_transition_at")
+
+
+def agents(draw, n):
+    """Twin columns of ``n`` agents with drawn age bands and immunity."""
+    ages = draw(st.lists(st.integers(0, N_AGE_BANDS - 1), min_size=n, max_size=n))
+    immune = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    twins = []
+    for _ in range(2):
+        c = AgentColumns.allocate(n)
+        c.age_band[:] = ages
+        c.immune[:] = immune
+        twins.append(c)
+    return twins
+
+
+def assert_same_entries(cols, ref):
+    for name in ENTRY_COLUMNS:
+        assert getattr(cols, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+class TestStageEntry:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**31 - 1),
+           step=st.integers(0, 400), sterilizing=st.booleans())
+    def test_infect_matches_the_parent_sequence(self, data, n, seed, step, sterilizing):
+        """In sterilizing mode no immune agent is a target, so the override
+        the parent skipped there never changes a stage."""
+        cols, ref = agents(data.draw, n)
+        new = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if sterilizing:
+            new = new[~cols.immune[new]]
+        default_table().infect(cols, new, seed, step)
+        parent_infect(default_table(), ref, new, seed, step, sterilizing)
+        assert_same_entries(cols, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**31 - 1),
+           step=st.integers(0, 400))
+    def test_enter_matches_the_parent_sequence(self, data, n, seed, step):
+        cols, ref = agents(data.draw, n)
+        dest = data.draw(st.lists(st.sampled_from(ENTERED), min_size=n, max_size=n))
+        due = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        for c in (cols, ref):
+            c.next_stage[:] = dest
+            c.next_transition_at[:] = np.where(due, step, step + 1)
+        ids = np.flatnonzero(cols.next_transition_at == step)
+        default_table().enter(cols, ids, cols.next_stage[ids], seed, step)
+        parent_progression(default_table(), ref, step, seed)
+        assert_same_entries(cols, ref)
+
+    def test_recovered_and_dead_have_no_next_transition(self):
+        cols = blank_state(3)
+        stages = np.array([Stage.RECOVERED, Stage.DEAD, Stage.ASYMPTOMATIC], dtype=np.int8)
+        simple_table().enter(cols, np.arange(3), stages, seed=4, step=9)
+        assert cols.stage.tolist() == stages.tolist()
+        assert cols.next_stage.tolist() == [NEVER, NEVER, int(Stage.RECOVERED)]
+        assert cols.next_transition_at.tolist() == [NEVER, NEVER, 9 + 30]
+
+    def test_infected_immune_agent_enters_asymptomatic(self):
+        """The table sends every non-immune agent to presymptomatic_mild."""
+        cols = blank_state(2)
+        cols.immune[0] = True
+        simple_table().infect(cols, np.arange(2), seed=1, step=6)
+        assert cols.stage.tolist() == [int(Stage.ASYMPTOMATIC),
+                                       int(Stage.PRESYMPTOMATIC_MILD)]
+        assert cols.infected_at.tolist() == [6, 6]
+        assert cols.next_stage.tolist() == [int(Stage.RECOVERED),
+                                            int(Stage.MILD_SYMPTOMATIC)]
+        assert cols.next_transition_at.tolist() == [6 + 30, 6 + 2]

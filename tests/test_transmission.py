@@ -14,12 +14,12 @@ from scipy import integrate
 
 from epivec.errors import ConfigError
 from epivec.stages import NetworkKind
-from epivec.transmission import (DiseaseParams, day_weight, day_weight_table,
-                                 edge_hazard, infection_probability)
+from epivec.transmission import (DiseaseParams, day_weight_table, edge_hazard,
+                                 infection_probability)
 
 
-def quadrature_day_weight(t: int, mean: float, sd: float) -> float:
-    """Independent oracle: integrate the gamma pdf over [t-1, t]."""
+def quadrature_mass(lo: float, hi: float, mean: float, sd: float) -> float:
+    """Independent oracle: integrate the gamma pdf over [lo, hi]."""
     shape = (mean / sd) ** 2
     scale = sd * sd / mean
     norm = math.gamma(shape) * scale ** shape
@@ -27,8 +27,13 @@ def quadrature_day_weight(t: int, mean: float, sd: float) -> float:
     def pdf(x):
         return x ** (shape - 1.0) * math.exp(-x / scale) / norm
 
-    value, _ = integrate.quad(pdf, t - 1, t, epsabs=1e-12, epsrel=1e-12)
+    value, _ = integrate.quad(pdf, lo, hi, epsabs=1e-12, epsrel=1e-12)
     return value
+
+
+def quadrature_day_weight(t: int, mean: float, sd: float) -> float:
+    """The curve's mass over day t, [t-1, t]."""
+    return quadrature_mass(t - 1, t, mean, sd)
 
 
 def make_params(**overrides) -> DiseaseParams:
@@ -56,16 +61,17 @@ class TestDayWeights:
 
     @pytest.mark.parametrize("mean,sd", [(5.0, 2.0), (7.0, 3.0), (2.0, 2.0)])
     def test_weights_sum_to_one(self, mean, sd):
-        total = sum(day_weight(t, mean, sd) for t in range(1, 201))
-        assert total == pytest.approx(1.0, abs=1e-9)
+        """The table and the quadrature tail past its last day make up the curve."""
+        table = day_weight_table(mean, sd)
+        tail = quadrature_mass(len(table) - 1, math.inf, mean, sd)
+        assert table.sum() + tail == pytest.approx(1.0, abs=1e-9)
 
     def test_telescoping_prefix(self):
         from scipy import stats
-        w1 = day_weight(1, 5.0, 2.0)
-        w2 = day_weight(2, 5.0, 2.0)
+        table = day_weight_table(5.0, 2.0)
         shape, scale = (5.0 / 2.0) ** 2, 4.0 / 5.0
-        assert w1 + w2 == pytest.approx(stats.gamma.cdf(2, shape, scale=scale),
-                                        abs=1e-12)
+        assert table[1] + table[2] == pytest.approx(
+            stats.gamma.cdf(2, shape, scale=scale), abs=1e-12)
 
     def test_unimodal_rise_then_decay(self):
         table = day_weight_table(7.0, 3.0)
@@ -84,10 +90,8 @@ class TestDayWeights:
         assert table[1:].sum() >= 1.0 - 1e-6
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            day_weight(0, 5.0, 2.0)
         with pytest.raises(ConfigError):
-            day_weight(1, -1.0, 2.0)
+            day_weight_table(-1.0, 2.0)
         with pytest.raises(ConfigError):
             day_weight_table(5.0, 0.0)
 
