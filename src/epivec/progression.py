@@ -6,11 +6,18 @@ out of a stage sum to one per age band.  Durations are continuous days,
 rounded to whole steps with a floor of one step.
 
 Branch and duration draws are quantile transforms of keyed uniforms, so the
-engine (array ``ppf`` calls) and the oracle (scalar ``ppf`` calls) sample
-identical values from identical keys.  The table also writes stage entries
-into the agent columns: ``infect`` draws an entry stage and ``enter`` writes
-a stage and schedules the transition out of it, for seeding, transmission
-and progression alike.
+engine (array calls) and the oracle (scalar calls) sample identical values
+from identical keys.  A duration's quantile calls the ``scipy.special``
+kernel that scipy's ``stats`` distributions end in, with constants derived
+once per spec: ``gammaincinv(shape, u) * scale`` for a gamma and
+``exp(sigma * ndtri(u)) * exp(mu)`` for a lognormal, byte-identical to
+``stats.gamma.ppf`` and ``stats.lognorm.ppf``.  The ``stats`` module costs
+about 46 MB and a second to import, so only the tests load it, as the
+reference.
+
+The table also writes stage entries into the agent columns: ``infect`` draws
+an entry stage and ``enter`` writes a stage and schedules the transition out
+of it, for seeding, transmission and progression alike.
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import rng as keyed
 from .errors import Config, ConfigError, Setting, checked, positive, setting
 from .rng import Purpose
 from .stages import NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
 from .state import AgentColumns
+from .transmission import gamma_shape_scale
 
 # Transitions the model allows.  SUSCEPTIBLE edges are entry branches taken at
 # the moment of infection (no duration); everything else is scheduled.
@@ -43,22 +51,34 @@ LEGAL_EDGES = {
 # Each duration family's parameters; all but a lognormal's mu must be positive.
 _DURATION_PARAMS = {"gamma": ("mean", "sd"), "lognormal": ("mu", "sigma"),
                    "constant": ("days",)}
-_FAMILY, _PARAMETER = Setting(_DURATION_PARAMS), Setting(float)
+_PARAMETER = Setting(float)
+
+
+def _family_params(family, where: str) -> tuple[str, ...]:
+    """The parameter names of the family named ``family``; a family is stored
+    by its name, so anything but one of the names is refused at ``where``."""
+    if not isinstance(family, str) or family not in _DURATION_PARAMS:
+        raise ConfigError(f"{where}: expected one of {sorted(_DURATION_PARAMS)}, "
+                          f"got {family!r}")
+    return _DURATION_PARAMS[family]
 
 
 @dataclass(frozen=True)
 class DurationSpec:
     """Family + parameters of one edge's stage-duration distribution (days),
-    checked at construction: a known family, its parameter count, and every
-    parameter but a lognormal's ``mu`` positive."""
+    checked at construction: a known family, its parameter count, every
+    parameter but a lognormal's ``mu`` positive, and the constants its
+    quantile reads, ``kernel``, finite and positive."""
 
     PATH = "progression.edges[i].duration"
 
     family: str           # "gamma", "lognormal", or "constant"
     params: tuple
+    # gamma (shape, scale); lognormal (sigma, exp(mu)); constant ()
+    kernel: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = _FAMILY.check(self.family, f"{self.PATH}.family")
+        names = _family_params(self.family, f"{self.PATH}.family")
         if not isinstance(self.params, (tuple, list)) or len(self.params) != len(names):
             raise ConfigError(f"{self.PATH}: expected the {len(names)} parameters "
                               f"({', '.join(names)}) of {self.family}, "
@@ -68,18 +88,35 @@ class DurationSpec:
         for name, value in zip(names, params):
             if name != "mu":
                 positive(f"{self.PATH}.{name}", value)
+        if self.family == "gamma":
+            kernel = dict(zip(("shape", "scale"), gamma_shape_scale(*params)))
+        elif self.family == "lognormal":
+            mu, sigma = params
+            try:
+                exp_mu = math.exp(mu)
+            except OverflowError:
+                exp_mu = math.inf
+            kernel = {"sigma": sigma, "exp(mu)": exp_mu}
+        else:
+            kernel = {}   # a constant's quantile reads its days
+        for name, value in kernel.items():
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{self.PATH}: expected {self.family} parameters "
+                                  f"whose {name} is finite and > 0, got "
+                                  f"{name}={value!r} from {params!r}")
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "kernel", tuple(kernel.values()))
 
     def quantile(self, u):
-        """Inverse CDF; u may be a scalar or an array."""
+        """Inverse CDF; u may be a scalar or an array.  Byte-identical to
+        ``stats.gamma.ppf(u, shape, scale=scale)`` and ``stats.lognorm.ppf(u,
+        sigma, scale=exp(mu))``, whose wrappers end in these kernels."""
         if self.family == "gamma":
-            mean, sd = self.params
-            shape = (mean / sd) ** 2
-            scale = sd * sd / mean
-            return stats.gamma.ppf(u, shape, scale=scale)
+            shape, scale = self.kernel
+            return special.gammaincinv(shape, u) * scale
         if self.family == "lognormal":
-            mu, sigma = self.params
-            return stats.lognorm.ppf(u, sigma, scale=math.exp(mu))
+            sigma, exp_mu = self.kernel
+            return np.exp(sigma * special.ndtri(u)) * exp_mu
         days = self.params[0]   # constant
         return np.full_like(np.asarray(u, dtype=np.float64), days) \
             if np.ndim(u) else float(days)
@@ -88,7 +125,7 @@ class DurationSpec:
     def from_dict(cls, d: dict, where: str) -> "DurationSpec":
         """The object ``d`` at ``where``, whose ``family`` names its numbers;
         the spec takes ``where`` as its ``PATH`` before construction checks it."""
-        names = (_FAMILY.check(d.get("family"), f"{where}.family")
+        names = (_family_params(d.get("family"), f"{where}.family")
                  if isinstance(d, dict) else ())   # not an object: refused below
         checked(d, ("family", *names), where)
         spec = cls.__new__(cls)

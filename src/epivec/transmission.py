@@ -15,9 +15,15 @@ exactly equivalent to independent per-interaction draws.
 ``day_weights[t]`` integrates a gamma infectiousness curve over day ``t``:
 zero at infection, peaking at an intermediate day, decaying to zero.  The
 curve is parameterized by its mean and standard deviation in days
-(shape = mean^2/sd^2, scale = sd^2/mean).  ``day_weight_table`` is the one
-place it is computed: a lookup table, ``DiseaseParams.day_weights``, out to
-the day where the residual tail mass drops below ``TAIL_EPS``.
+(shape = mean^2/sd^2, scale = sd^2/mean, from ``gamma_shape_scale``, which
+the gamma stage durations share).  ``day_weight_table`` is the one place it
+is computed: a lookup table, ``DiseaseParams.day_weights``, out to the day
+where the residual tail mass drops below ``TAIL_EPS``.  It calls the
+``scipy.special`` kernels that scipy's ``stats.gamma`` ends in:
+``gammainccinv(shape, TAIL_EPS) * scale`` for the tail day and
+``gammainc(shape, t / scale)`` for the CDF, byte-identical to the frozen
+``stats.gamma(shape, scale=scale)``'s ``isf`` and ``cdf``.  The ``stats``
+module (about 46 MB and a second to import) is only the tests' reference.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import Config, ConfigError, positive, setting
 from .stages import N_AGE_BANDS, NetworkKind
@@ -36,32 +42,46 @@ MAX_TAIL_DAY = 3650   # ten years; mean = sd = 100 days ends on day 1,382
 _NETWORK_NAMES = tuple(kind.name.lower() for kind in NetworkKind)
 
 
+def gamma_shape_scale(mean: float, sd: float) -> tuple[float, float]:
+    """A gamma's (shape, scale) from its mean and sd > 0: ((mean/sd)**2,
+    sd*sd/mean), the shape inf where it overflows.  Either may be inf or
+    underflow to 0, where scipy's ``stats.gamma`` would return NaN; callers
+    refuse both."""
+    try:
+        shape = (mean / sd) ** 2
+    except OverflowError:
+        shape = math.inf
+    return shape, sd * sd / mean
+
+
 def day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
     """Lookup table w[t] = F(t) - F(t-1) for t = 1..T_max; w[0] = 0.
 
     T_max is the smallest day whose residual tail mass is below TAIL_EPS; a
-    curve for which that day is not finite or exceeds MAX_TAIL_DAY is a
-    ConfigError, raised before the table is allocated.
+    curve whose shape or scale is not finite and positive, or whose tail day
+    is not finite or exceeds MAX_TAIL_DAY, is a ConfigError, raised before
+    the table is allocated.
     """
     positive("disease.infectiousness_mean_days", mean_days)
     positive("disease.infectiousness_sd_days", sd_days)
-    try:
-        dist = stats.gamma((mean_days / sd_days) ** 2,
-                           scale=sd_days * sd_days / mean_days)
-        with np.errstate(invalid="ignore", over="ignore"):
-            t_max = int(math.ceil(dist.isf(TAIL_EPS)))
-    except (OverflowError, ValueError):   # shape or tail day overflows, or is NaN
+    shape, scale = gamma_shape_scale(mean_days, sd_days)
+    tail_day = math.nan
+    if 0 < shape < math.inf and 0 < scale < math.inf:
+        with np.errstate(over="ignore"):
+            tail_day = special.gammainccinv(shape, TAIL_EPS) * scale
+    if not math.isfinite(tail_day):
         raise ConfigError(
             "disease.infectiousness_mean_days, disease.infectiousness_sd_days: "
             f"expected a curve with a finite tail day, got mean={mean_days!r}, "
-            f"sd={sd_days!r}") from None
+            f"sd={sd_days!r}")
+    t_max = math.ceil(tail_day)
     if t_max > MAX_TAIL_DAY:
         raise ConfigError(
             "disease.infectiousness_mean_days, disease.infectiousness_sd_days: expected "
             f"a curve whose tail day is at most {MAX_TAIL_DAY}, got day {t_max} for "
             f"mean={mean_days!r}, sd={sd_days!r}")
     t_max = max(t_max, 1)
-    cdf = dist.cdf(np.arange(0, t_max + 1, dtype=np.float64))
+    cdf = special.gammainc(shape, np.arange(0, t_max + 1, dtype=np.float64) / scale)
     weights = np.diff(cdf)
     return np.concatenate(([0.0], weights))
 

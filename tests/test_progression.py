@@ -2,10 +2,13 @@
 branch checks."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from epivec.errors import ConfigError
 from epivec.progression import (LEGAL_EDGES, DurationSpec, Edge, ProgressionTable,
@@ -99,6 +102,20 @@ class TestValidation:
         ("constant", (0,), r"\.days: expected a value > 0, got 0\.0$"),
         ("lognormal", (1.5,), r": expected the 2 parameters \(mu, sigma\) of "
                               r"lognormal, got \(1\.5,\)$"),
+        (("mean", "sd"), (5, 2), r"\.family: expected one of \['constant', 'gamma', "
+                                 r"'lognormal'\], got \('mean', 'sd'\)$"),
+        ("gamma", (1e-300, 1.0), r": expected gamma parameters whose shape is finite "
+                                 r"and > 0, got shape=0\.0 from \(1e-300, 1\.0\)$"),
+        ("gamma", (1e200, 1e-200), r": expected gamma parameters whose shape is "
+                                   r"finite and > 0, got shape=inf from "),
+        ("gamma", (1.0, 1e-300), r": expected gamma parameters whose shape is finite "
+                                 r"and > 0, got shape=inf from "),
+        ("gamma", (1.0, 1e155), r": expected gamma parameters whose scale is finite "
+                                r"and > 0, got scale=inf from "),
+        ("lognormal", (-800.0, 1.0), r": expected lognormal parameters whose exp\(mu\) "
+                                     r"is finite and > 0, got exp\(mu\)=0\.0 from "),
+        ("lognormal", (800.0, 1.0), r": expected lognormal parameters whose exp\(mu\) "
+                                    r"is finite and > 0, got exp\(mu\)=inf from "),
     ])
     def test_duration_built_in_python_is_checked(self, family, params, message):
         with pytest.raises(ConfigError,
@@ -226,6 +243,68 @@ class TestScheduling:
                     float(rng.random()), float(rng.random()))
                 assert nxt in LEGAL_EDGES[stage]
                 assert delay >= 1
+
+
+def reference_quantile(spec: DurationSpec, u):
+    """``DurationSpec.quantile`` through ``scipy.stats`` for a gamma or a
+    lognormal, the parent's forms verbatim but for the names."""
+    if spec.family == "gamma":
+        mean, sd = spec.params
+        shape = (mean / sd) ** 2
+        scale = sd * sd / mean
+        return stats.gamma.ppf(u, shape, scale=scale)
+    mu, sigma = spec.params
+    return stats.lognorm.ppf(u, sigma, scale=math.exp(mu))
+
+
+# u = 0, the smallest subnormal and the largest double below 1
+PINNED_U = np.array([0.0, 5e-324, np.nextafter(1.0, 0.0)])
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def assert_same_quantiles(spec, u, scalar):
+    """Equal bytes for the pinned values and ``u``, and for one scalar, of
+    the same type; a lognormal far in its tail is inf on both sides."""
+    u = np.concatenate((PINNED_U, u))
+    with np.errstate(over="ignore"):
+        assert spec.quantile(u).tobytes() == reference_quantile(spec, u).tobytes()
+        for x in (*PINNED_U.tolist(), scalar):
+            got, want = spec.quantile(x), reference_quantile(spec, x)
+            assert type(got) is type(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def duration_specs():
+    """Gamma means and sds, lognormal mus and sigmas, over many decades;
+    specs whose kernel constants overflow or underflow are refused at
+    construction, so are not drawn."""
+    decades = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+    positive = st.one_of(decades, st.floats(1e-6, 1e6))
+    gamma = st.tuples(st.just("gamma"), st.tuples(positive, positive))
+    lognormal = st.tuples(st.just("lognormal"),
+                          st.tuples(st.floats(-700.0, 700.0), st.floats(1e-4, 100.0)))
+    return st.one_of(gamma, lognormal).map(lambda fp: DurationSpec(*fp))
+
+
+class TestQuantileKernels:
+    """``quantile`` calls the kernels that ``scipy.stats``'s wrappers end in;
+    the wrappers stay here as the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=duration_specs(), u=arrays(np.float64, st.integers(0, 40), elements=UNIT),
+           scalar=UNIT)
+    @example(spec=DurationSpec("gamma", (5.0, 2.0)), u=np.empty(0), scalar=0.5)
+    @example(spec=DurationSpec("lognormal", (-700.0, 100.0)), u=np.empty(0), scalar=0.5)
+    def test_matches_scipy_stats_bytes(self, spec, u, scalar):
+        assert_same_quantiles(spec, u, scalar)
+
+    def test_packaged_specs_match_scipy_stats_bytes(self):
+        u = np.random.default_rng(5).random(10_000)
+        specs = [d for rule in default_table().rules.values() for d in rule.durations
+                 if d is not None and d.family != "constant"]
+        assert {d.family for d in specs} == {"gamma", "lognormal"}
+        for spec in specs:
+            assert_same_quantiles(spec, u, float(u[0]))
 
 
 @functools.lru_cache(maxsize=None)

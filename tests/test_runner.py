@@ -3,7 +3,11 @@ checks, CLI exit codes and flags."""
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import epivec
 from epivec import cli
 from epivec.cli import main
 from epivec.errors import ConfigError, InvariantViolation, VerificationDivergence
@@ -445,6 +450,45 @@ class TestDeterminism:
         result = run_replication(config, 0)
         assert result.data.shape[0] == 1
         assert result.column("step")[0] == 0
+
+
+RUN_WITHOUT_STATS = """
+import sys
+from epivec.runner import run_scenario, verify_equivalence
+from epivec.scenario import default_population_dict, scenario_from_dict
+population = default_population_dict()
+population["n_agents"] = 300
+config = scenario_from_dict({
+    "population": population, "horizon": 10, "replications": 2,
+    "interventions": {"quarantine": {"enabled": True}, "testing": {"enabled": True},
+                      "den": {"enabled": True},
+                      "vaccination": {"enabled": True, "start_trigger": 0.0}}})
+run_scenario(config, workers=2)
+verify_equivalence(config)
+print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+"""
+
+
+class TestRunTimeImports:
+    def test_a_run_loads_no_scipy_stats(self):
+        """``scipy.stats`` is the tests' reference only, and pytest's own
+        process has loaded it, so a fresh interpreter runs replications on
+        the pool and the engine/oracle replay with every intervention on."""
+        package = Path(epivec.__file__).parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(package.parent), os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", RUN_WITHOUT_STATS], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
+
+    def test_no_source_file_names_scipy_stats(self):
+        package = Path(epivec.__file__).parent
+        files = [p for p in package.rglob("*")
+                 if p.is_file() and "__pycache__" not in p.parts]
+        assert any(p.name == "progression.py" for p in files)
+        assert [p.name for p in files
+                if re.search(rb"scipy\.stats|from scipy import stats", p.read_bytes())] == []
 
 
 class TestCsvRoundTrip:

@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, stats
 
-from epivec.errors import ConfigError
+from epivec.errors import ConfigError, positive
 from epivec.stages import NetworkKind
-from epivec.transmission import (DiseaseParams, day_weight_table, edge_hazard,
-                                 infection_probability)
+from epivec.transmission import (MAX_TAIL_DAY, TAIL_EPS, DiseaseParams,
+                                 day_weight_table, edge_hazard, infection_probability)
 
 
 def quadrature_mass(lo: float, hi: float, mean: float, sd: float) -> float:
@@ -34,6 +34,43 @@ def quadrature_mass(lo: float, hi: float, mean: float, sd: float) -> float:
 def quadrature_day_weight(t: int, mean: float, sd: float) -> float:
     """The curve's mass over day t, [t-1, t]."""
     return quadrature_mass(t - 1, t, mean, sd)
+
+
+def reference_day_weight_table(mean_days: float, sd_days: float) -> np.ndarray:
+    """``day_weight_table`` through the frozen ``scipy.stats.gamma``, the
+    parent's body verbatim."""
+    positive("disease.infectiousness_mean_days", mean_days)
+    positive("disease.infectiousness_sd_days", sd_days)
+    try:
+        dist = stats.gamma((mean_days / sd_days) ** 2,
+                           scale=sd_days * sd_days / mean_days)
+        with np.errstate(invalid="ignore", over="ignore"):
+            t_max = int(math.ceil(dist.isf(TAIL_EPS)))
+    except (OverflowError, ValueError):   # shape or tail day overflows, or is NaN
+        raise ConfigError(
+            "disease.infectiousness_mean_days, disease.infectiousness_sd_days: "
+            f"expected a curve with a finite tail day, got mean={mean_days!r}, "
+            f"sd={sd_days!r}") from None
+    if t_max > MAX_TAIL_DAY:
+        raise ConfigError(
+            "disease.infectiousness_mean_days, disease.infectiousness_sd_days: expected "
+            f"a curve whose tail day is at most {MAX_TAIL_DAY}, got day {t_max} for "
+            f"mean={mean_days!r}, sd={sd_days!r}")
+    t_max = max(t_max, 1)
+    cdf = dist.cdf(np.arange(0, t_max + 1, dtype=np.float64))
+    weights = np.diff(cdf)
+    return np.concatenate(([0.0], weights))
+
+
+# 1e-8 to 1e8 days, drawn both uniformly and by decade
+DAYS = st.one_of(st.floats(1e-8, 1e8), st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e))
+
+
+def table_or_error(build, mean, sd):
+    try:
+        return build(mean, sd).tobytes()
+    except ConfigError as e:
+        return str(e)
 
 
 def make_params(**overrides) -> DiseaseParams:
@@ -67,7 +104,6 @@ class TestDayWeights:
         assert table.sum() + tail == pytest.approx(1.0, abs=1e-9)
 
     def test_telescoping_prefix(self):
-        from scipy import stats
         table = day_weight_table(5.0, 2.0)
         shape, scale = (5.0 / 2.0) ** 2, 4.0 / 5.0
         assert table[1] + table[2] == pytest.approx(
@@ -82,7 +118,6 @@ class TestDayWeights:
         assert np.all(np.diff(w[peak:]) <= 0)
 
     def test_residual_tail_below_threshold(self):
-        from scipy import stats
         table = day_weight_table(5.0, 2.0)
         t_max = len(table) - 1
         shape, scale = (5.0 / 2.0) ** 2, 4.0 / 5.0
@@ -94,6 +129,17 @@ class TestDayWeights:
             day_weight_table(-1.0, 2.0)
         with pytest.raises(ConfigError):
             day_weight_table(5.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mean=DAYS, sd=DAYS)
+    @example(mean=1e-300, sd=1.0)      # the shape underflows to 0
+    @example(mean=1e-308, sd=1e-308)   # the scale underflows to 0
+    @example(mean=5.0, sd=2.0)
+    def test_matches_scipy_stats_bytes(self, mean, sd):
+        """The kernels give the bytes of the frozen ``stats.gamma``, and raise
+        the same ConfigError where it gives NaN or an overlong tail."""
+        assert table_or_error(day_weight_table, mean, sd) \
+            == table_or_error(reference_day_weight_table, mean, sd)
 
 
 class TestEdgeHazard:
