@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graphs import StepGraph
-from .interventions import ImmunityMode, InterventionConfig, ContactLog, priority_sort_key
+from .interventions import InterventionConfig, ContactLog, priority_sort_key
 from .progression import ProgressionTable
 from .rng import Purpose, uniforms
 from .stages import (ACTIVE_INFECTION_STAGE, ASYMPTOMATIC_LIKE_STAGE,
@@ -70,8 +70,7 @@ class Engine:
         self.contact_log = ContactLog(interventions.den.lookback,
                                       cols.has_den_app) \
             if interventions.den.enabled else None
-        self._sterilizing = (interventions.vaccination.immunity_mode
-                             == ImmunityMode.STERILIZING)
+        self._sterilizing = interventions.vaccination.sterilizing
 
     # -- transmission -----------------------------------------------------
 
@@ -220,7 +219,7 @@ class Engine:
         c = self.cols
         step = self.clock
         notifiers = positives[c.has_den_app[positives]]
-        if not len(notifiers) or self.contact_log is None:
+        if not len(notifiers):
             return
         contacts = self.contact_log.contacts_of(notifiers)   # app holders only
         if not len(contacts):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
 from .rng import Purpose, substream
 
 
@@ -225,7 +224,8 @@ class GraphRealizer:
     and the node-to-agent map).  A step then only rewires the lattices, all
     occupations in one pass, each from its own substream.  The kept arrays
     are read-only: every step's graph until the next death shares the same
-    household block, checked for self-loops once, when it is derived.
+    household block.  The realizer checks nothing itself: ``Engine.step``
+    checks every block's range and self-loops, the one graph check.
     """
 
     def __init__(self, seed: int, household_id: np.ndarray,
@@ -233,9 +233,7 @@ class GraphRealizer:
                  occupation_mean_interactions: np.ndarray,
                  rewire_beta: float):
         self.seed = seed
-        self.n_agents = len(household_id)
         self.hh_u, self.hh_v = build_households(household_id)
-        self.occupation = occupation
         self.random_degree = np.asarray(random_degree, dtype=np.float64)
         self.occ_members = {
             j: np.nonzero(occupation == j)[0].astype(np.int32)
@@ -254,7 +252,6 @@ class GraphRealizer:
             return
         alive = ~(dead[self.hh_u] | dead[self.hh_v])
         self._household = (self.hh_u[alive], self.hh_v[alive])
-        _check_no_self_loops(self._household)
         self._occ_ids, lives, ks = [], [], []
         for j, members in self.occ_members.items():
             live = members[~dead[members]]
@@ -287,15 +284,7 @@ class GraphRealizer:
         vs = self._occ_v.copy()
         vs[edge] = self._occ_agent[node]
         occupation = (self._occ_u, vs)
-        _check_no_self_loops(occupation)
 
         rng = substream(self.seed, Purpose.GRAPH_RANDOM, step)
         random = stub_pairing(self._live_agents, self._live_degree, rng)
-        _check_no_self_loops(random)
         return StepGraph(step, (self._household, occupation, random))  # NetworkKind order
-
-
-def _check_no_self_loops(pairs) -> None:
-    u, v = pairs
-    if np.any(u == v):
-        raise InvariantViolation("graph realization produced a self-loop")

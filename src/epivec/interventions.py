@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import Config, ConfigError, setting
 from .graphs import StepGraph
-from .stages import N_AGE_BANDS, N_NETWORK_KINDS
+from .stages import MAX_STEP_OFFSET, N_AGE_BANDS, N_NETWORK_KINDS
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,9 @@ class TestKind:
             raise ConfigError(f"test {self.name!r}: detection_prob outside [0, 1]")
         if self.turnaround_min < 1 or self.turnaround_max < self.turnaround_min:
             raise ConfigError(f"test {self.name!r}: turnaround must be >= 1 step")
+        if self.turnaround_max > MAX_STEP_OFFSET:
+            raise ConfigError(f"test {self.name!r}: turnaround must be <= "
+                              f"{MAX_STEP_OFFSET} steps")
 
     def turnaround(self, u):
         """Uniform integer turnaround from keyed draws, scalar or array."""
@@ -78,7 +81,7 @@ IMMUNITY_MODE_BY_NAME = {
 class QuarantinePolicy(Config):
     PATH = "interventions.quarantine"
     enabled: bool = setting(bool, False)
-    duration: int = setting(int, 14, lo=1)
+    duration: int = setting(int, 14, lo=1, hi=MAX_STEP_OFFSET)
     dropout_prob: float = setting(float, 0.05, lo=0, hi=1)
 
 
@@ -106,9 +109,12 @@ class VaccinePolicy(Config):
     strategy: Strategy = setting(STRATEGY_BY_NAME, Strategy.STANDARD_DOSING)
     dose1_efficacy: float = setting(float, 0.8, lo=0, hi=1)
     dose2_efficacy: float = setting(float, 0.95, lo=0, hi=1)
-    dose1_latency: int = setting(int, 12, lo=0)   # days until dose-1 immunity resolves
-    dose2_latency: int = setting(int, 0, lo=0)    # extra days after the second dose
-    dose_gap: int = setting(int, 21, lo=1)        # days before second-dose eligibility
+    # days until dose-1 immunity resolves
+    dose1_latency: int = setting(int, 12, lo=0, hi=MAX_STEP_OFFSET)
+    # extra days after the second dose
+    dose2_latency: int = setting(int, 0, lo=0, hi=MAX_STEP_OFFSET)
+    # days before second-dose eligibility
+    dose_gap: int = setting(int, 21, lo=1, hi=MAX_STEP_OFFSET)
     daily_rate: float = setting(float, 0.003, lo=0, hi=1)  # population share dosed a day
     # currently-infected fraction that opens the campaign
     start_trigger: float = setting(float, 0.01, lo=0, hi=1)
@@ -116,6 +122,11 @@ class VaccinePolicy(Config):
     # age bands >= this stay on schedule under the delayed-except-elderly
     # strategy (61+, the closest band boundary to "above 65")
     elderly_band: int = setting(int, 6, lo=0, hi=N_AGE_BANDS - 1)
+
+    @property
+    def sterilizing(self) -> bool:
+        """Whether realized immunity blocks infection (else it only mutes it)."""
+        return self.immunity_mode == ImmunityMode.STERILIZING
 
     def doses_per_day(self, n_agents: int) -> int:
         return int(np.rint(self.daily_rate * n_agents))

@@ -1,12 +1,12 @@
 """Naive per-agent reference implementation.
 
 Agents are plain records and every rule runs as an explicit Python loop over
-agents and edges.  Used to cross-check the vectorized engine: in ``replay``
-mode the oracle consumes the same keyed draws as the engine (one aggregate
-infection draw per agent), so trajectories must match bit for bit.  In
-``independent-edges`` mode each incident edge gets its own Bernoulli draw;
-per-agent infection marginals then coincide with the aggregate draw exactly
-because hazards are summed inside one exponent.
+agents and edges.  Used to cross-check the vectorized engine: the oracle
+consumes the same keyed draws as the engine (one aggregate infection draw per
+agent), so trajectories must match bit for bit.  It shares draws and tables
+with the engine, not algorithms: a stage entry is its own ``_enter``, and
+vaccine doses go out in an order it sorts itself, from the priority rule
+written out as a tuple.
 
 No performance work here on purpose: the loops are the point.  The records
 are typed by hand: a new agent column is declared in ``AgentColumns``
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graphs import StepGraph
-from .interventions import ImmunityMode, InterventionConfig, priority_sort_key
+from .interventions import InterventionConfig, Strategy
 from .progression import ProgressionTable
 from .rng import Purpose, uniform
 from .stages import (ACTIVE_INFECTION_STAGE, ASYMPTOMATIC_LIKE_STAGE,
@@ -72,34 +72,23 @@ def agents_from_columns(cols: AgentColumns) -> list[NaiveAgent]:
 class OracleSim:
     """Loop-based simulation over NaiveAgent records."""
 
-    REPLAY = "replay"
-    INDEPENDENT = "independent-edges"
-
     def __init__(self, agents: list[NaiveAgent], disease: DiseaseParams,
                  table: ProgressionTable, interventions: InterventionConfig,
-                 seed: int, mode: str = REPLAY):
-        if mode not in (self.REPLAY, self.INDEPENDENT):
-            raise ValueError(f"unknown oracle mode {mode!r}")
+                 seed: int):
         self.agents = agents
         self.disease = disease
         self.table = table
         self.iv = interventions
         self.seed = seed
-        self.mode = mode
         self.clock = 0
         self.vaccination_open = False
         self.contact_history: list[list[tuple[int, int]]] = []
-        self._sterilizing = (interventions.vaccination.immunity_mode
-                             == ImmunityMode.STERILIZING)
+        self._sterilizing = interventions.vaccination.sterilizing
 
     # -- helpers -----------------------------------------------------------
 
     def _is_target(self, a: NaiveAgent) -> bool:
-        if a.stage != int(Stage.SUSCEPTIBLE):
-            return False
-        if self._sterilizing and a.immune:
-            return False
-        return True
+        return a.stage == int(Stage.SUSCEPTIBLE) and not (self._sterilizing and a.immune)
 
     def _incident_hazards(self, graph: StepGraph, step: int):
         """Per-target lists of (source id, kind, hazard), each pair walked both ways."""
@@ -152,22 +141,11 @@ class OracleSim:
         for a in self.agents:
             if not self._is_target(a):
                 continue
-            contributions = sorted(incoming.get(a.agent_id, []))
-            if self.mode == self.REPLAY:
-                lam = 0.0
-                for _, _, h in contributions:
-                    lam += h
-                p = infection_probability(lam)
-                hit = uniform(self.seed, step, Purpose.INFECTION, a.agent_id) < p
-            else:
-                hit = False
-                for j, (_, _, h) in enumerate(contributions):
-                    p_edge = infection_probability(h)
-                    u = uniform(self.seed, step, Purpose.INFECTION_EDGE,
-                                a.agent_id, k=j)
-                    if u < p_edge:
-                        hit = True
-            if hit:
+            lam = 0.0
+            for _, _, h in sorted(incoming.get(a.agent_id, [])):
+                lam += h
+            p = infection_probability(lam)
+            if uniform(self.seed, step, Purpose.INFECTION, a.agent_id) < p:
                 infected.append(a.agent_id)
 
         for i in infected:
@@ -176,14 +154,8 @@ class OracleSim:
             entry = self.table.entry_stage(a.age_band, u_entry)
             if not self._sterilizing and a.immune:
                 entry = Stage.ASYMPTOMATIC
-            a.stage = int(entry)
             a.infected_at = step
-            u_b = uniform(self.seed, step, Purpose.PROGRESSION_BRANCH, i)
-            u_d = uniform(self.seed, step, Purpose.PROGRESSION_DELAY, i)
-            nxt, delay = self.table.schedule_transition(Stage(a.stage), a.age_band,
-                                                        u_b, u_d)
-            a.next_stage = int(nxt)
-            a.next_transition_at = step + delay
+            self._enter(a, int(entry), step)
         return infected
 
     def _progression(self, step: int) -> list[int]:
@@ -191,20 +163,23 @@ class OracleSim:
         for a in self.agents:
             if a.next_transition_at != step:
                 continue
-            a.stage = a.next_stage
+            self._enter(a, a.next_stage, step)
             if a.stage in (int(Stage.MILD_SYMPTOMATIC), int(Stage.SEVERE_SYMPTOMATIC)):
                 symptomatic.append(a.agent_id)
-            if a.stage in (int(Stage.RECOVERED), int(Stage.DEAD)):
-                a.next_stage = NEVER
-                a.next_transition_at = NEVER
-            else:
-                u_b = uniform(self.seed, step, Purpose.PROGRESSION_BRANCH, a.agent_id)
-                u_d = uniform(self.seed, step, Purpose.PROGRESSION_DELAY, a.agent_id)
-                nxt, delay = self.table.schedule_transition(Stage(a.stage), a.age_band,
-                                                            u_b, u_d)
-                a.next_stage = int(nxt)
-                a.next_transition_at = step + delay
         return symptomatic
+
+    def _enter(self, a: NaiveAgent, stage: int, step: int) -> None:
+        """Move ``a`` into ``stage`` at ``step`` and schedule where and when it
+        goes next from its keyed draws; none out of recovered or dead."""
+        a.stage = stage
+        nxt, at = NEVER, NEVER
+        if stage not in (int(Stage.RECOVERED), int(Stage.DEAD)):
+            u_b = uniform(self.seed, step, Purpose.PROGRESSION_BRANCH, a.agent_id)
+            u_d = uniform(self.seed, step, Purpose.PROGRESSION_DELAY, a.agent_id)
+            nxt, delay = self.table.schedule_transition(Stage(stage), a.age_band,
+                                                        u_b, u_d)
+            at = step + delay
+        a.next_stage, a.next_transition_at = int(nxt), at
 
     def _test_sampling(self, newly_symptomatic: list[int], step: int) -> None:
         due_den = [a.agent_id for a in self.agents if a.den_test_due_at == step]
@@ -284,32 +259,19 @@ class OracleSim:
         budget = policy.doses_per_day(len(self.agents))
         if budget <= 0:
             return
-        eligible = []
-        d2_flags = []
+        eligible = []   # (agent, is second dose)
         for a in self.agents:
             if a.stage in (int(Stage.DEAD), int(Stage.HOSPITALIZED),
                            int(Stage.CRITICAL_ICU)):
                 continue
             if a.vaccine_status == int(VaccineStatus.PRE_VACCINATION):
-                eligible.append(a.agent_id)
-                d2_flags.append(False)
+                eligible.append((a, False))
             elif (a.vaccine_status == int(VaccineStatus.FIRST_DOSE)
                   and a.dose1_at != NEVER
                   and step >= a.dose1_at + policy.dose_gap):
-                eligible.append(a.agent_id)
-                d2_flags.append(True)
-        if not eligible:
-            return
-        ids = np.asarray(eligible, dtype=np.int64)
-        d2 = np.asarray(d2_flags, dtype=bool)
-        ages = np.asarray([self.agents[i].age_band for i in eligible], dtype=np.int64)
-        order = priority_sort_key(policy.strategy, policy.elderly_band,
-                                  ages, d2, ids)
-        take = ids[order][:budget]
-        take_d2 = d2[order][:budget]
+                eligible.append((a, True))
 
-        for i, is_second in zip(take.tolist(), take_d2.tolist()):
-            a = self.agents[i]
+        for a, is_second in sorted(eligible, key=lambda e: self._priority(*e))[:budget]:
             if not is_second:
                 a.vaccine_status = int(VaccineStatus.FIRST_DOSE)
                 a.dose1_at = step
@@ -331,6 +293,20 @@ class OracleSim:
                 if policy.dose2_latency == 0:
                     self._realize_immunity(a, step)
 
+    def _priority(self, a: NaiveAgent, is_second: bool) -> tuple:
+        """Vaccination order: group by strategy, age band descending, first
+        dose before second, agent id.  Standard dosing puts second doses
+        first, delayed dosing first doses; delayed-except-elderly puts the
+        elderly bands first, both doses mixed, then the rest, first doses first."""
+        policy = self.iv.vaccination
+        if policy.strategy == Strategy.STANDARD_DOSING:
+            group = 0 if is_second else 1
+        elif policy.strategy == Strategy.DELAYED_SECOND_DOSE:
+            group = 1 if is_second else 0
+        else:   # DELAYED_EXCEPT_ELDERLY
+            group = 0 if a.age_band >= policy.elderly_band else 1 + is_second
+        return (group, -a.age_band, is_second, a.agent_id)
+
     def _realize_immunity(self, a: NaiveAgent, step: int) -> None:
         u = uniform(self.seed, step, Purpose.VACCINE_IMMUNITY, a.agent_id,
                     k=a.immunity_check_dose)
@@ -341,6 +317,7 @@ class OracleSim:
         a.immunity_check_at = NEVER
         a.immunity_check_prob = 0.0
         a.immunity_check_dose = 0
+
     # -- views -------------------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:

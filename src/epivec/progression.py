@@ -31,7 +31,7 @@ from scipy import special
 from . import rng as keyed
 from .errors import Config, ConfigError, Setting, checked, positive, setting
 from .rng import Purpose
-from .stages import NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
+from .stages import MAX_STEP_OFFSET, NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
 from .state import AgentColumns
 from .transmission import gamma_shape_scale
 
@@ -67,8 +67,10 @@ def _family_params(family, where: str) -> tuple[str, ...]:
 class DurationSpec:
     """Family + parameters of one edge's stage-duration distribution (days),
     checked at construction: a known family, its parameter count, every
-    parameter but a lognormal's ``mu`` positive, and the constants its
-    quantile reads, ``kernel``, finite and positive."""
+    parameter but a lognormal's ``mu`` positive, the constants its quantile
+    reads, ``kernel``, finite and positive, and its longest delay at most
+    ``MAX_STEP_OFFSET`` steps.  Quantiles rise with u, so the delay at the
+    largest keyed uniform, 1 - 2**-53, bounds every delay it schedules."""
 
     PATH = "progression.edges[i].duration"
 
@@ -106,6 +108,12 @@ class DurationSpec:
                                   f"{name}={value!r} from {params!r}")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "kernel", tuple(kernel.values()))
+        with np.errstate(over="ignore"):   # an infinite delay is refused below
+            longest = float(round_delay(self.quantile(np.nextafter(1.0, 0.0))))
+        if not longest <= MAX_STEP_OFFSET:
+            raise ConfigError(f"{self.PATH}: expected {self.family} parameters whose "
+                              f"longest delay is at most {MAX_STEP_OFFSET} steps, "
+                              f"got {longest!r} from {params!r}")
 
     def quantile(self, u):
         """Inverse CDF; u may be a scalar or an array.  Byte-identical to

@@ -26,7 +26,6 @@ _INIT = 0x243F6A8885A308D3  # pi fraction; avoids the all-zero key
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
-_U_INIT = np.uint64(_INIT)
 _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
@@ -39,7 +38,9 @@ class Purpose(IntEnum):
     """Tags separating the independent decision streams within one step."""
 
     INFECTION = 1          # per-agent aggregate infection draw
-    INFECTION_EDGE = 2     # per-edge draws (oracle independent-edges mode only)
+    # per-edge draws: no simulator takes them, only the keyed Monte Carlo of
+    # test_criterion_3_hazard_aggregation_identity (tests/test_acceptance.py)
+    INFECTION_EDGE = 2
     ENTRY_STAGE = 3        # branch into asymptomatic / presymptomatic on infection
     PROGRESSION_BRANCH = 4
     PROGRESSION_DELAY = 5

@@ -18,6 +18,7 @@ from .errors import Config, ConfigError, in_range, setting
 from .interventions import InterventionConfig
 from .population import PopulationSpec
 from .progression import ProgressionTable
+from .stages import MAX_STEP_OFFSET
 from .transmission import DiseaseParams
 
 # Sections that may be referenced by file path, with their packaged defaults.
@@ -47,10 +48,11 @@ class ScenarioConfig(Config):
     """A scenario: what to simulate, for how many steps, how many times.  A
     new key is declared once, with ``setting``, here or in its section.
 
-    ``horizon`` has no upper bound beyond the int32 step columns: a run's
-    time and its output (one 152-byte row per step, allocated before step 0)
-    grow linearly with it, so a long horizon costs in proportion and never
-    blows up the way a large household does.
+    ``horizon`` is bounded by ``MAX_STEP_OFFSET`` only, so that a step plus
+    any scheduled offset fits the int32 step columns: a run's time and its
+    output (one 152-byte row per step, allocated before step 0) grow
+    linearly with it, so a long horizon costs in proportion and never blows
+    up the way a large household does.
     """
 
     name: str = setting(str)
@@ -58,7 +60,7 @@ class ScenarioConfig(Config):
     disease: DiseaseParams = setting(DiseaseParams)
     progression: ProgressionTable = setting(ProgressionTable)
     interventions: InterventionConfig = setting(InterventionConfig, InterventionConfig)
-    horizon: int = setting(int, 180, lo=1)
+    horizon: int = setting(int, 180, lo=1, hi=MAX_STEP_OFFSET)
     replications: int = setting(int, 15, lo=1)
     base_seed: int = setting(int, 0)
     initial_infections: int = setting(int, 10, lo=0)

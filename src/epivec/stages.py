@@ -17,6 +17,10 @@ import numpy as np
 
 # Sentinel for "never happened / not scheduled" step indices.
 NEVER = -1
+# The bound of every step offset (a delay, a duration, a latency) and of the
+# horizon: a step is below it, so a step plus an offset fits the int32 step
+# columns.
+MAX_STEP_OFFSET = 2**30
 
 
 @unique

@@ -71,10 +71,6 @@ class AgentColumns:
 
     def check_invariants(self, step: int) -> None:
         """Cheap structural checks; raise InvariantViolation on breakage."""
-        counts = self.stage_counts()
-        if counts.sum() != self.n_agents:
-            raise InvariantViolation(
-                f"step {step}: stage counts sum to {counts.sum()} != {self.n_agents}")
         if np.any(self.stage < 0) or np.any(self.stage >= N_STAGES):
             raise InvariantViolation(f"step {step}: stage out of range")
         infected_mask = self.infected_at != NEVER

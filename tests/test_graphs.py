@@ -12,13 +12,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from epivec import graphs
+from epivec.engine import Engine
 from epivec.errors import InvariantViolation
 from epivec.graphs import (GraphRealizer, StepGraph, build_households,
                            round_to_even, stub_pairing, watts_strogatz)
+from epivec.interventions import InterventionConfig
 from epivec.rng import Purpose, substream
 from epivec.stages import NetworkKind
 
-from test_interventions import doubled
+from test_interventions import blank_state, doubled, flat_disease, simple_table
 
 
 def adjacency_sets(us, vs, n):
@@ -488,7 +490,7 @@ class TestSegmentedRewiring:
     @example(sizes=[12, 12, 12], means=[6.0], beta=1.0, seed=1)
     def test_matches_per_occupation_reference(self, sizes, means, beta, seed):
         r = self.realizer(sizes, means, beta, seed)
-        n = r.n_agents
+        n = len(r.random_degree)
         rng = np.random.default_rng(seed)
         none = np.zeros(n, dtype=bool)
         some = rng.random(n) < 0.3
@@ -502,7 +504,7 @@ class TestSegmentedRewiring:
         done after the first round and the other two are not, so they run a
         second round without it."""
         r = self.realizer([10, 10, 10], [6.0], 1.0, seed=3)
-        log = self.compare(r, 0, np.zeros(r.n_agents, dtype=bool))
+        log = self.compare(r, 0, np.zeros(len(r.random_degree), dtype=bool))
         rounds = [sum(call[0] == "integers" for call in calls) for calls in log.values()]
         assert len(rounds) == 3 and min(rounds) == 1 and max(rounds) >= 2
 
@@ -511,7 +513,7 @@ class TestSegmentedRewiring:
         pending: an occupation of 10 members stops after its own 80 rounds,
         while one of 40 members runs on and escapes once the draws move."""
         r = self.realizer([10, 40], [6.0], 1.0, seed=4)
-        log = self.compare(r, 0, np.zeros(r.n_agents, dtype=bool), stuck=100)
+        log = self.compare(r, 0, np.zeros(len(r.random_degree), dtype=bool), stuck=100)
         rounds = {key[-1]: sum(call[0] == "integers" for call in calls)
                   for key, calls in log.items()}
         assert rounds[1] == 80 and rounds[2] > 100
@@ -641,12 +643,15 @@ class TestRealizeStepGraph:
 
     @pytest.mark.parametrize("builder", ["build_households", "stub_pairing"])
     def test_self_pair_is_invariant_violation(self, monkeypatch, builder):
-        """A self-pair in the household block (checked once, when the live
-        block is derived) or in a step's random block stops the run."""
+        """A self-pair in the household block or in a step's random block
+        stops the run at the engine's graph check, the one check a realized
+        graph passes through."""
         def self_pair(*args):
             one = np.array([1], dtype=np.int32)
             return one, one.copy()
         monkeypatch.setattr(graphs, builder, self_pair)
         r = make_realizer([0, 0, 1, 1], [0, 0, 0, 0], [2.0] * 4)
+        engine = Engine(blank_state(4), flat_disease(), simple_table(),
+                        InterventionConfig(), seed=0)
         with pytest.raises(InvariantViolation, match="self-loop"):
-            r.realize(0, np.zeros(4, dtype=bool))
+            engine.step(r.realize(0, np.zeros(4, dtype=bool)))

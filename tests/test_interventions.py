@@ -16,7 +16,8 @@ from epivec.interventions import (ContactLog, DenConfig, DiagnosticPolicy,
 from epivec.interventions import TestKind as DiagnosticKind
 from epivec.progression import ProgressionTable
 from epivec.rng import Purpose, uniforms
-from epivec.stages import N_NETWORK_KINDS, NEVER, NetworkKind, Stage, VaccineStatus
+from epivec.stages import (MAX_STEP_OFFSET, N_NETWORK_KINDS, NEVER, NetworkKind, Stage,
+                           VaccineStatus)
 from epivec.state import AgentColumns
 from epivec.transmission import DiseaseParams
 
@@ -179,6 +180,11 @@ class TestTestKinds:
             DiagnosticKind("bad", 1.5, 1, 1)
         with pytest.raises(ConfigError):
             DiagnosticKind("bad", 0.5, 0, 0)
+
+    def test_turnaround_past_max_step_offset_is_refused(self):
+        with pytest.raises(ConfigError, match="turnaround must be <= 1073741824 steps"):
+            DiagnosticKind("slow", 0.5, 1, MAX_STEP_OFFSET + 1)
+        assert DiagnosticKind("slow", 0.5, 1, MAX_STEP_OFFSET).turnaround(0.0) == 1
 
 
 def quarantine_engine(dropout, n=1, seed=0):

@@ -1,21 +1,21 @@
-"""Reference-oracle checks: replay equivalence with the engine, the
-independent-edges sampling mode, and the throughput gap."""
+"""Reference-oracle checks: replay equivalence with the engine, an engine
+mutant that ``verify`` must catch (the vaccination order), the aggregate
+infection draw's marginal, and the throughput gap."""
 
 import math
-import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epivec import runner
+from epivec import engine, oracle, runner
 from epivec.engine import Engine
 from epivec.interventions import STRATEGY_BY_NAME, TEST_KINDS, InterventionConfig
 from epivec.oracle import OracleSim, agents_from_columns
 from epivec.runner import bench, replication_seed, run_replication, verify_equivalence
 from epivec.scenario import (default_disease_dict, default_population_dict,
                              scenario_from_dict)
-from epivec.stages import NetworkKind, Stage
+from epivec.stages import Stage
 from epivec.errors import VerificationDivergence
 
 from test_interventions import (blank_state, empty_graph, flat_disease, simple_table,
@@ -91,6 +91,29 @@ class TestReplayEquivalence:
                             "dose2_latency": 1,
                             "immunity_mode": "non-sterilizing"}})
         assert verify_equivalence(config) == config.horizon
+
+
+def youngest_first_key(strategy, elderly_band, age_band, dose2_eligible, agent_id):
+    """Standard dosing's priority order with the age order reversed."""
+    group = np.where(dose2_eligible, 0, 1)
+    return np.lexsort((agent_id, dose2_eligible, age_band, group))
+
+
+class TestVerifySeesTheEngine:
+    def test_reversed_age_order_diverges(self, monkeypatch):
+        """The oracle sorts eligible agents itself, so an engine dosing the
+        youngest first is a divergence however the package looks the key up."""
+        monkeypatch.setattr(engine, "priority_sort_key", youngest_first_key)
+        monkeypatch.setattr(oracle, "priority_sort_key", youngest_first_key,
+                            raising=False)
+        # 8 doses a day for 150 agents: the budget binds from step 0
+        config = small_scenario(n=150, horizon=5, interventions={
+            "vaccination": {"enabled": True, "strategy": "standard",
+                            "daily_rate": 0.05, "start_trigger": 0.0}})
+        with pytest.raises(VerificationDivergence) as exc_info:
+            verify_equivalence(config)
+        assert exc_info.value.step == 0
+        assert exc_info.value.field in ("vaccine_status", "dose1_at")
 
 
 def differential_scenario(n, horizon, infections, seed, rate, interventions):
@@ -185,70 +208,34 @@ class TestDifferentialConfigSpace:
         assert (result.column("notifications_sent").sum() > 0) == notified
 
 
-class TestIndependentEdgesMode:
-    def test_star_leaf_frequency_matches_analytic(self):
-        # 5-node star, fixed per-edge hazard; empirical leaf infection rate
-        # over 1e5 keyed trials within +-0.005 of 1 - exp(-lam)
-        from epivec.transmission import edge_hazard
-        disease = flat_disease(rate=3.0)
-        lam = edge_hazard(4, False, 0, int(NetworkKind.RANDOM), disease)
-        expected = 1.0 - math.exp(-lam)
-
-        n_leaves = 4
-        leaves = np.arange(1, n_leaves + 1, dtype=np.int32)
-        hub = np.zeros(n_leaves, dtype=np.int32)
-        graph = step_graph(4, hub, leaves,
-                           np.full(n_leaves, int(NetworkKind.RANDOM), dtype=np.int8))
-        trials = 100_000
-        hits = 0
-        table = simple_table()
-        iv = InterventionConfig()
-        for seed in range(trials):
-            cols = blank_state(n_leaves + 1)
-            cols.stage[0] = int(Stage.MILD_SYMPTOMATIC)
-            cols.infected_at[0] = 0
-            cols.next_stage[0] = int(Stage.RECOVERED)
-            cols.next_transition_at[0] = 10_000
-            sim = OracleSim(agents_from_columns(cols), disease, table, iv,
-                            seed=seed, mode=OracleSim.INDEPENDENT)
-            sim.clock = 4
-            graph.step = 4
-            sim.step(graph)
-            hits += sum(1 for a in sim.agents[1:]
-                        if a.stage != int(Stage.SUSCEPTIBLE))
-        freq = hits / (trials * n_leaves)
-        assert abs(freq - expected) < 0.005
-
-    def test_modes_share_marginals_on_multi_edge_target(self):
-        # two infectious sources into one target: aggregate draw and
-        # independent edge draws must agree on the infection marginal
+class TestAggregateInfectionDraw:
+    def test_marginal_on_multi_edge_target(self):
+        # two infectious sources into one target: the one aggregate draw
+        # infects with probability 1 - exp(-(lam1 + lam2))
         from epivec.transmission import edge_hazard
         disease = flat_disease(rate=3.0)
         lam = edge_hazard(4, False, 0, 0, disease)
         expected = 1.0 - math.exp(-2 * lam)
         trials = 60_000
-        counts = {OracleSim.REPLAY: 0, OracleSim.INDEPENDENT: 0}
+        hits = 0
         table = simple_table()
         iv = InterventionConfig()
         graph = step_graph(4, np.array([0, 1], dtype=np.int32),
                            np.array([2, 2], dtype=np.int32),
                            np.zeros(2, dtype=np.int8))
-        for mode in counts:
-            for seed in range(trials):
-                cols = blank_state(3)
-                for i in (0, 1):
-                    cols.stage[i] = int(Stage.MILD_SYMPTOMATIC)
-                    cols.infected_at[i] = 0
-                    cols.next_stage[i] = int(Stage.RECOVERED)
-                    cols.next_transition_at[i] = 10_000
-                sim = OracleSim(agents_from_columns(cols), disease, table, iv,
-                                seed=seed, mode=mode)
-                sim.clock = 4
-                sim.step(graph)
-                counts[mode] += sim.agents[2].stage != int(Stage.SUSCEPTIBLE)
+        for seed in range(trials):
+            cols = blank_state(3)
+            for i in (0, 1):
+                cols.stage[i] = int(Stage.MILD_SYMPTOMATIC)
+                cols.infected_at[i] = 0
+                cols.next_stage[i] = int(Stage.RECOVERED)
+                cols.next_transition_at[i] = 10_000
+            sim = OracleSim(agents_from_columns(cols), disease, table, iv, seed=seed)
+            sim.clock = 4
+            sim.step(graph)
+            hits += sim.agents[2].stage != int(Stage.SUSCEPTIBLE)
         sigma = math.sqrt(expected * (1 - expected) / trials)
-        for mode, hits in counts.items():
-            assert abs(hits / trials - expected) < 3 * sigma, mode
+        assert abs(hits / trials - expected) < 3 * sigma
 
 
 class TestThroughputFloor:

@@ -15,7 +15,7 @@ from epivec.progression import (LEGAL_EDGES, DurationSpec, Edge, ProgressionTabl
                                 round_delay)
 from epivec.rng import Purpose, uniform, uniforms
 from epivec.scenario import default_progression_dict
-from epivec.stages import NEVER, N_AGE_BANDS, Stage
+from epivec.stages import MAX_STEP_OFFSET, NEVER, N_AGE_BANDS, Stage
 from epivec.state import AgentColumns
 
 from test_interventions import blank_state, simple_table
@@ -116,11 +116,27 @@ class TestValidation:
                                      r"is finite and > 0, got exp\(mu\)=0\.0 from "),
         ("lognormal", (800.0, 1.0), r": expected lognormal parameters whose exp\(mu\) "
                                     r"is finite and > 0, got exp\(mu\)=inf from "),
+        # delays past MAX_STEP_OFFSET, at the largest keyed uniform
+        ("gamma", (3e9, 1.0), r": expected gamma parameters whose longest delay is at "
+                              r"most 1073741824 steps, got 3000000008\.0 from "),
+        ("gamma", (1e150, 1e150), r": expected gamma parameters whose longest delay "
+                                  r"is at most 1073741824 steps, got 3\.67\d*e\+151 "),
+        ("lognormal", (700.0, 10.0), r": expected lognormal parameters whose longest "
+                                     r"delay is at most 1073741824 steps, got inf "),
+        ("constant", (1e10,), r": expected constant parameters whose longest delay is "
+                              r"at most 1073741824 steps, got 10000000000\.0 "),
     ])
     def test_duration_built_in_python_is_checked(self, family, params, message):
         with pytest.raises(ConfigError,
                            match=r"^progression\.edges\[i\]\.duration" + message):
             DurationSpec(family, params)
+
+    def test_longest_delay_up_to_max_step_offset_is_accepted(self):
+        """A lognormal with a median of 20 days and sigma 1 reaches 73,517
+        days at the largest keyed uniform, far past ten years, and is kept."""
+        spec = DurationSpec("lognormal", (math.log(20.0), 1.0))
+        assert round_delay(spec.quantile(np.nextafter(1.0, 0.0))) == 73_517
+        assert DurationSpec("constant", (float(MAX_STEP_OFFSET),)).params == (2.0**30,)
 
     def test_duration_read_from_json_names_its_edge(self):
         table = default_progression_dict()
@@ -264,7 +280,7 @@ UNIT = st.floats(0.0, 1.0, exclude_max=True)
 
 def assert_same_quantiles(spec, u, scalar):
     """Equal bytes for the pinned values and ``u``, and for one scalar, of
-    the same type; a lognormal far in its tail is inf on both sides."""
+    the same type."""
     u = np.concatenate((PINNED_U, u))
     with np.errstate(over="ignore"):
         assert spec.quantile(u).tobytes() == reference_quantile(spec, u).tobytes()
@@ -274,16 +290,25 @@ def assert_same_quantiles(spec, u, scalar):
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def accepted(family_params):
+    """The spec, or None where construction refuses it."""
+    try:
+        return DurationSpec(*family_params)
+    except ConfigError:
+        return None
+
+
 def duration_specs():
     """Gamma means and sds, lognormal mus and sigmas, over many decades;
-    specs whose kernel constants overflow or underflow are refused at
-    construction, so are not drawn."""
+    specs whose kernel constants overflow or underflow, or whose longest
+    delay exceeds ``MAX_STEP_OFFSET``, are refused at construction, so are
+    not drawn."""
     decades = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
     positive = st.one_of(decades, st.floats(1e-6, 1e6))
     gamma = st.tuples(st.just("gamma"), st.tuples(positive, positive))
     lognormal = st.tuples(st.just("lognormal"),
-                          st.tuples(st.floats(-700.0, 700.0), st.floats(1e-4, 100.0)))
-    return st.one_of(gamma, lognormal).map(lambda fp: DurationSpec(*fp))
+                          st.tuples(st.floats(-700.0, 20.0), st.floats(1e-4, 100.0)))
+    return st.one_of(gamma, lognormal).map(accepted).filter(bool)
 
 
 class TestQuantileKernels:
@@ -294,7 +319,8 @@ class TestQuantileKernels:
     @given(spec=duration_specs(), u=arrays(np.float64, st.integers(0, 40), elements=UNIT),
            scalar=UNIT)
     @example(spec=DurationSpec("gamma", (5.0, 2.0)), u=np.empty(0), scalar=0.5)
-    @example(spec=DurationSpec("lognormal", (-700.0, 100.0)), u=np.empty(0), scalar=0.5)
+    # exp(sigma * ndtri(u)) is near overflow at the largest u, 0 at the smallest
+    @example(spec=DurationSpec("lognormal", (-700.0, 86.0)), u=np.empty(0), scalar=0.5)
     def test_matches_scipy_stats_bytes(self, spec, u, scalar):
         assert_same_quantiles(spec, u, scalar)
 

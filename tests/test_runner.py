@@ -694,6 +694,31 @@ class TestCli:
                      "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
 
+    # 3e9 steps: each wrapped or overflowed an int32 step column at run time
+    @pytest.mark.parametrize("overrides, path", [
+        ({"interventions": {"quarantine": {"enabled": True, "duration": 3e9},
+                            "testing": {"enabled": True}}},
+         "interventions.quarantine.duration"),
+        ({"interventions": {"vaccination": {"enabled": True, "dose1_latency": 3e9}}},
+         "interventions.vaccination.dose1_latency"),
+        ({"interventions": {"vaccination": {"enabled": True, "dose2_latency": 3e9}}},
+         "interventions.vaccination.dose2_latency"),
+        ({"interventions": {"vaccination": {"enabled": True, "dose_gap": 3e9}}},
+         "interventions.vaccination.dose_gap"),
+        ({"horizon": 2**30 + 1}, "horizon"),
+        (with_sections(progression=edges_with(3, duration={
+            "family": "gamma", "mean": 3e9, "sd": 1.0})), "progression.edges[3].duration"),
+        (with_sections(progression=edges_with(3, duration={
+            "family": "constant", "days": 1e10})), "progression.edges[3].duration"),
+    ])
+    def test_step_offset_past_the_int32_clock_exits_1(self, tmp_path, capsys,
+                                                       overrides, path):
+        scenario = self.write_scenario(tmp_path, n=100, replications=1,
+                                       **{"horizon": 3, **overrides})
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+
     @pytest.mark.parametrize("argv", [[], ["simulate"], ["frobnicate"],
                                       ["bench", "--agents", "many"]])
     def test_usage_error_exit_code(self, argv, capsys):

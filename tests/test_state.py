@@ -7,6 +7,7 @@ import typing
 import numpy as np
 import pytest
 
+from epivec.errors import InvariantViolation
 from epivec.oracle import NaiveAgent, agents_from_columns
 from epivec.stages import NEVER, Stage, VaccineStatus
 from epivec.state import AGENT_COLUMNS, AgentColumns
@@ -96,3 +97,12 @@ def test_copy_is_deep_and_complete():
         assert a is not b and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     dup.stage[0] = int(Stage.DEAD)
     assert cols.stage[0] == int(Stage.SUSCEPTIBLE)
+
+
+@pytest.mark.parametrize("stage", [-1, len(Stage)])
+def test_stage_out_of_range_is_invariant_violation(stage):
+    cols = AgentColumns.allocate(4)
+    cols.stage[2] = stage
+    cols.infected_at[2] = 0
+    with pytest.raises(InvariantViolation, match="^step 7: stage out of range$"):
+        cols.check_invariants(7)
