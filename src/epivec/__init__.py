@@ -22,7 +22,7 @@ from .runner import (BenchReport, RunResult, bench, initialize_run,
                      replication_seed, run_replication, run_scenario,
                      summarize, verify_equivalence)
 from .scenario import ScenarioConfig, default_scenario, load_scenario
-from .stages import NetworkKind, Stage, VaccineStatus
+from .stages import NetworkKind, Stage
 from .state import AgentColumns
 from .transmission import (DiseaseParams, day_weight_table, edge_hazard,
                            infection_probability)
@@ -36,10 +36,10 @@ __all__ = [
     "InvariantViolation", "NaiveAgent", "NetworkKind", "Networks", "OracleSim",
     "PopulationSpec", "ProgressionTable", "QuarantinePolicy", "RunResult",
     "ScenarioConfig", "Stage", "StepEvents", "StepGraph", "Strategy",
-    "TestKind", "TEST_KINDS", "VaccinePolicy", "VaccineStatus",
-    "VerificationDivergence", "agents_from_columns", "bench",
-    "build_households", "day_weight_table", "default_scenario",
-    "edge_hazard", "infection_probability", "initialize_run", "load_scenario",
-    "replication_seed", "run_replication", "run_scenario", "seed_infections",
-    "summarize", "synthesize", "verify_equivalence", "watts_strogatz",
+    "TestKind", "TEST_KINDS", "VaccinePolicy", "VerificationDivergence",
+    "agents_from_columns", "bench", "build_households", "day_weight_table",
+    "default_scenario", "edge_hazard", "infection_probability",
+    "initialize_run", "load_scenario", "replication_seed", "run_replication",
+    "run_scenario", "seed_infections", "summarize", "synthesize",
+    "verify_equivalence", "watts_strogatz",
 ]

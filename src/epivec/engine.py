@@ -36,15 +36,20 @@ from .interventions import InterventionConfig, ContactLog, priority_sort_key
 from .progression import ProgressionTable
 from .rng import Purpose, uniforms
 from .stages import (ACTIVE_INFECTION_STAGE, ASYMPTOMATIC_LIKE_STAGE,
-                     INFECTIOUS_STAGE, N_NETWORK_KINDS, NEVER, Stage,
-                     VaccineStatus)
+                     INFECTIOUS_STAGE, N_NETWORK_KINDS, NEVER, Stage)
 from .state import AgentColumns
 from .transmission import DiseaseParams
 
 
+def _unsigned(ids: np.ndarray) -> np.ndarray:
+    """``ids`` viewed as the unsigned integers of its width."""
+    return ids.view(ids.dtype.str.replace("i", "u"))
+
+
 @dataclass
 class StepEvents:
-    """Per-step outcome counts, for time-series logging and benchmarks."""
+    """Per-step outcome counts, for time-series logging and benchmarks;
+    ``verify`` compares them with the counts the oracle makes itself."""
 
     step: int
     n_edges: int = 0
@@ -130,11 +135,16 @@ class Engine:
             raise InvariantViolation(
                 f"graph built for step {graph.step}, engine clock is {step}")
         for u, v in graph.blocks:
+            if len(u) != len(v):
+                raise InvariantViolation(
+                    f"graph block has {len(u)} and {len(v)} pair ends")
             if len(u):
-                top = max(int(u.max()), int(v.max()))
-                if top >= c.n_agents:
-                    raise InvariantViolation(
-                        f"graph references agent {top} >= n_agents {c.n_agents}")
+                # viewed as unsigned, a negative id reads as a huge one
+                if max(_unsigned(u).max(), _unsigned(v).max()) >= c.n_agents:
+                    ends = np.concatenate([u, v])
+                    bad = ends[(ends < 0) | (ends >= c.n_agents)][0]
+                    raise InvariantViolation(f"graph references agent {bad} outside "
+                                             f"[0, n_agents {c.n_agents})")
                 if np.any(u == v):
                     raise InvariantViolation("graph contains a self-loop")
         ev = StepEvents(step=step, n_edges=graph.n_edges)
@@ -211,7 +221,6 @@ class Engine:
         c.test_positive[due] = False
         if self.iv.quarantine.enabled and len(positives):
             c.quarantine_until[positives] = step + self.iv.quarantine.duration
-            c.quarantine_started_at[positives] = step
         if self.iv.den.enabled and len(positives):
             self._notify_contacts(positives, ev)
 
@@ -238,7 +247,7 @@ class Engine:
         c = self.cols
         step = self.clock
         q = np.nonzero((c.quarantine_until > step)
-                       & (c.quarantine_started_at < step))[0]
+                       & (c.quarantine_until < step + self.iv.quarantine.duration))[0]
         if not len(q):
             return
         u = uniforms(self.seed, step, Purpose.QUARANTINE_DROPOUT, q)
@@ -251,8 +260,8 @@ class Engine:
         policy = self.iv.vaccination
 
         due = np.nonzero(c.immunity_check_at == step)[0]
-        for dose_k in (1, 2):
-            ids = due[c.immunity_check_dose[due] == dose_k]
+        second = c.dose2_at[due] != NEVER
+        for dose_k, ids in ((1, due[~second]), (2, due[second])):
             if len(ids):
                 self._realize_immunity(ids, dose_k)
 
@@ -269,9 +278,8 @@ class Engine:
         blocked = ((c.stage == int(Stage.DEAD))
                    | (c.stage == int(Stage.HOSPITALIZED))
                    | (c.stage == int(Stage.CRITICAL_ICU)))
-        d1 = (c.vaccine_status == int(VaccineStatus.PRE_VACCINATION)) & ~blocked
-        d2 = ((c.vaccine_status == int(VaccineStatus.FIRST_DOSE))
-              & (c.dose1_at != NEVER)
+        d1 = (c.dose1_at == NEVER) & ~blocked
+        d2 = ((c.dose1_at != NEVER) & (c.dose2_at == NEVER)
               & (step >= c.dose1_at + policy.dose_gap) & ~blocked)
         eligible = np.nonzero(d1 | d2)[0]
         if not len(eligible):
@@ -286,16 +294,13 @@ class Engine:
         first = take[~second_mask]
         second = take[second_mask]
         if len(first):
-            c.vaccine_status[first] = int(VaccineStatus.FIRST_DOSE)
             c.dose1_at[first] = step
             c.immunity_check_at[first] = step + policy.dose1_latency
             c.immunity_check_prob[first] = policy.dose1_efficacy
-            c.immunity_check_dose[first] = 1
             if policy.dose1_latency == 0:
                 self._realize_immunity(first, 1)
 
         if len(second):
-            c.vaccine_status[second] = int(VaccineStatus.FULLY_VACCINATED)
             c.dose2_at[second] = step
             pending = c.immunity_check_at[second] != NEVER
             prob = np.where(pending, policy.dose2_efficacy,
@@ -303,7 +308,6 @@ class Engine:
             prob = np.where(c.immune[second], 0.0, prob)
             c.immunity_check_at[second] = step + policy.dose2_latency
             c.immunity_check_prob[second] = prob
-            c.immunity_check_dose[second] = 2
             if policy.dose2_latency == 0:
                 self._realize_immunity(second, 2)
 
@@ -317,4 +321,3 @@ class Engine:
             c.stage[ok] = int(Stage.VACCINATED)
         c.immunity_check_at[ids] = NEVER
         c.immunity_check_prob[ids] = 0.0
-        c.immunity_check_dose[ids] = 0

@@ -34,16 +34,20 @@ class InvariantViolation(EpivecError):
 
 
 class VerificationDivergence(EpivecError):
-    """Engine and reference oracle disagreed during an equivalence check."""
+    """Engine and reference oracle disagreed during an equivalence check: in
+    one agent's column ``field``, or, with ``agent`` None, in the step's event
+    count ``field``."""
 
-    def __init__(self, step: int, agent: int, field: str, engine_value, oracle_value):
+    def __init__(self, step: int, agent: int | None, field: str, engine_value,
+                 oracle_value):
         self.step = step
         self.agent = agent
         self.field = field
         self.engine_value = engine_value
         self.oracle_value = oracle_value
+        where = "event count" if agent is None else f"agent {agent}, field"
         super().__init__(
-            f"divergence at step {step}, agent {agent}, field {field!r}: "
+            f"divergence at step {step}, {where} {field!r}: "
             f"engine={engine_value!r} oracle={oracle_value!r}"
         )
 

@@ -4,9 +4,9 @@ Agents are plain records and every rule runs as an explicit Python loop over
 agents and edges.  Used to cross-check the vectorized engine: the oracle
 consumes the same keyed draws as the engine (one aggregate infection draw per
 agent), so trajectories must match bit for bit.  It shares draws and tables
-with the engine, not algorithms: a stage entry is its own ``_enter``, and
-vaccine doses go out in an order it sorts itself, from the priority rule
-written out as a tuple.
+with the engine, not algorithms: a stage entry is its own ``_enter``, vaccine
+doses go out in an order it sorts itself, from the priority rule written out
+as a tuple, and it counts each step's events in its own loops.
 
 No performance work here on purpose: the loops are the point.  The records
 are typed by hand: a new agent column is declared in ``AgentColumns``
@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import StepEvents
 from .errors import InvariantViolation
 from .graphs import StepGraph
 from .interventions import InterventionConfig, Strategy
 from .progression import ProgressionTable
 from .rng import Purpose, uniform
 from .stages import (ACTIVE_INFECTION_STAGE, ASYMPTOMATIC_LIKE_STAGE,
-                     INFECTIOUS_STAGE, NEVER, Stage, VaccineStatus)
+                     INFECTIOUS_STAGE, NEVER, Stage)
 from .state import AGENT_COLUMNS, AgentColumns
 from .transmission import DiseaseParams, edge_hazard, infection_probability
 
@@ -33,7 +34,9 @@ from .transmission import DiseaseParams, edge_hazard, infection_probability
 @dataclass
 class NaiveAgent:
     """One agent as an individual record: ``agent_id``, then one field per
-    agent column, in ``AGENT_COLUMNS`` order."""
+    agent column, in ``AGENT_COLUMNS`` order.  Like the columns, the fields
+    store no fact that others determine: the doses had, the dose of a due
+    immunity check and dropout eligibility are read off them (``state.py``)."""
 
     agent_id: int
     age_band: int
@@ -45,15 +48,12 @@ class NaiveAgent:
     next_transition_at: int
     next_stage: int
     quarantine_until: int
-    quarantine_started_at: int
     has_den_app: bool
-    vaccine_status: int
     dose1_at: int
     dose2_at: int
     immune: bool
     immunity_check_at: int
     immunity_check_prob: float
-    immunity_check_dose: int
     test_sample_at: int
     test_result_at: int
     test_positive: bool
@@ -111,21 +111,24 @@ class OracleSim:
 
     # -- the step ----------------------------------------------------------
 
-    def step(self, graph: StepGraph) -> None:
+    def step(self, graph: StepGraph) -> StepEvents:
+        """Advance one step; return the graph's edge count and the step's four
+        event counts, each counted in the loops below."""
         step = self.clock
         if graph.step != step:
             raise InvariantViolation(
                 f"graph built for step {graph.step}, oracle clock is {step}")
+        ev = StepEvents(step=step, n_edges=graph.n_edges)
 
-        newly_infected = self._transmission(graph, step)
+        ev.new_infections = len(self._transmission(graph, step))
         newly_symptomatic = self._progression(step)
         if self.iv.testing.enabled:
-            self._test_sampling(newly_symptomatic, step)
-            self._test_delivery(step)
+            ev.tests_administered = self._test_sampling(newly_symptomatic, step)
+            ev.notifications_sent = self._test_delivery(step)
         if self.iv.quarantine.enabled:
             self._quarantine_dropout(step)
         if self.iv.vaccination.enabled:
-            self._vaccination(step)
+            ev.doses_given = self._vaccination(step)
 
         if self.iv.den.enabled:
             edges = [(int(a), int(b)) for us, vs in graph.blocks for e in range(len(us))
@@ -134,6 +137,7 @@ class OracleSim:
             if len(self.contact_history) > self.iv.den.lookback:
                 self.contact_history.pop(0)
         self.clock += 1
+        return ev
 
     def _transmission(self, graph: StepGraph, step: int) -> list[int]:
         incoming = self._incident_hazards(graph, step)
@@ -181,16 +185,19 @@ class OracleSim:
             at = step + delay
         a.next_stage, a.next_transition_at = int(nxt), at
 
-    def _test_sampling(self, newly_symptomatic: list[int], step: int) -> None:
+    def _test_sampling(self, newly_symptomatic: list[int], step: int) -> int:
+        """Sample the due tests; return how many were taken."""
         due_den = [a.agent_id for a in self.agents if a.den_test_due_at == step]
         for i in due_den:
             self.agents[i].den_test_due_at = NEVER
         candidates = sorted(set(newly_symptomatic) | set(due_den))
         kind = self.iv.testing.kind
+        tests = 0
         for i in candidates:
             a = self.agents[i]
             if a.test_result_at != NEVER or a.stage == int(Stage.DEAD):
                 continue
+            tests += 1
             u_pos = uniform(self.seed, step, Purpose.TEST_POSITIVE, i)
             if ACTIVE_INFECTION_STAGE[a.stage]:
                 positive = u_pos < kind.detection_prob
@@ -200,8 +207,10 @@ class OracleSim:
             a.test_sample_at = step
             a.test_result_at = step + kind.turnaround(u_turn)
             a.test_positive = bool(positive)
+        return tests
 
-    def _test_delivery(self, step: int) -> None:
+    def _test_delivery(self, step: int) -> int:
+        """Deliver the due results; return how many contacts were notified."""
         positives = []
         for a in self.agents:
             if a.test_result_at != step:
@@ -214,35 +223,39 @@ class OracleSim:
             for i in positives:
                 a = self.agents[i]
                 a.quarantine_until = step + self.iv.quarantine.duration
-                a.quarantine_started_at = step
         if self.iv.den.enabled and positives:
-            self._notify_contacts(positives, step)
+            return self._notify_contacts(positives, step)
+        return 0
 
-    def _notify_contacts(self, positives: list[int], step: int) -> None:
+    def _notify_contacts(self, positives: list[int], step: int) -> int:
         notifiers = {i for i in positives if self.agents[i].has_den_app}
         if not notifiers:
-            return
+            return 0
         contacts: set[int] = set()
         for edges in self.contact_history:
             for s, d in edges:
                 if s in notifiers:
                     contacts.add(d)
+        notified = 0
         for i in sorted(contacts):
             a = self.agents[i]
             if not a.has_den_app or a.quarantined(step) or a.stage == int(Stage.DEAD):
                 continue
+            notified += 1
             u = uniform(self.seed, step, Purpose.DEN_COMPLIANCE, i)
             if u < self.iv.den.compliance_prob:
                 a.den_test_due_at = step + 1
+        return notified
 
     def _quarantine_dropout(self, step: int) -> None:
         for a in self.agents:
-            if a.quarantine_until > step and a.quarantine_started_at < step:
+            if step < a.quarantine_until < step + self.iv.quarantine.duration:
                 u = uniform(self.seed, step, Purpose.QUARANTINE_DROPOUT, a.agent_id)
                 if u < self.iv.quarantine.dropout_prob:
                     a.quarantine_until = step
 
-    def _vaccination(self, step: int) -> None:
+    def _vaccination(self, step: int) -> int:
+        """Resolve the due immunity checks, then dose; return the doses given."""
         policy = self.iv.vaccination
         for a in self.agents:
             if a.immunity_check_at == step:
@@ -254,34 +267,30 @@ class OracleSim:
             if infected_now >= policy.start_trigger * len(self.agents):
                 self.vaccination_open = True
         if not self.vaccination_open:
-            return
+            return 0
 
         budget = policy.doses_per_day(len(self.agents))
         if budget <= 0:
-            return
+            return 0
         eligible = []   # (agent, is second dose)
         for a in self.agents:
             if a.stage in (int(Stage.DEAD), int(Stage.HOSPITALIZED),
                            int(Stage.CRITICAL_ICU)):
                 continue
-            if a.vaccine_status == int(VaccineStatus.PRE_VACCINATION):
+            if a.dose1_at == NEVER:
                 eligible.append((a, False))
-            elif (a.vaccine_status == int(VaccineStatus.FIRST_DOSE)
-                  and a.dose1_at != NEVER
-                  and step >= a.dose1_at + policy.dose_gap):
+            elif a.dose2_at == NEVER and step >= a.dose1_at + policy.dose_gap:
                 eligible.append((a, True))
 
-        for a, is_second in sorted(eligible, key=lambda e: self._priority(*e))[:budget]:
+        doses = sorted(eligible, key=lambda e: self._priority(*e))[:budget]
+        for a, is_second in doses:
             if not is_second:
-                a.vaccine_status = int(VaccineStatus.FIRST_DOSE)
                 a.dose1_at = step
                 a.immunity_check_at = step + policy.dose1_latency
                 a.immunity_check_prob = policy.dose1_efficacy
-                a.immunity_check_dose = 1
                 if policy.dose1_latency == 0:
                     self._realize_immunity(a, step)
             else:
-                a.vaccine_status = int(VaccineStatus.FULLY_VACCINATED)
                 a.dose2_at = step
                 pending = a.immunity_check_at != NEVER
                 prob = policy.dose2_efficacy if pending else policy.dose2_topup_prob()
@@ -289,9 +298,9 @@ class OracleSim:
                     prob = 0.0
                 a.immunity_check_at = step + policy.dose2_latency
                 a.immunity_check_prob = prob
-                a.immunity_check_dose = 2
                 if policy.dose2_latency == 0:
                     self._realize_immunity(a, step)
+        return len(doses)
 
     def _priority(self, a: NaiveAgent, is_second: bool) -> tuple:
         """Vaccination order: group by strategy, age band descending, first
@@ -308,15 +317,14 @@ class OracleSim:
         return (group, -a.age_band, is_second, a.agent_id)
 
     def _realize_immunity(self, a: NaiveAgent, step: int) -> None:
-        u = uniform(self.seed, step, Purpose.VACCINE_IMMUNITY, a.agent_id,
-                    k=a.immunity_check_dose)
+        dose_k = 1 if a.dose2_at == NEVER else 2
+        u = uniform(self.seed, step, Purpose.VACCINE_IMMUNITY, a.agent_id, k=dose_k)
         if u < a.immunity_check_prob and a.stage == int(Stage.SUSCEPTIBLE):
             a.immune = True
             if self._sterilizing:
                 a.stage = int(Stage.VACCINATED)
         a.immunity_check_at = NEVER
         a.immunity_check_prob = 0.0
-        a.immunity_check_dose = 0
 
     # -- views -------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -135,8 +135,8 @@ def _replay(config: ScenarioConfig, seed: int, engine: bool = True,
 
     Runs the engine unless ``engine`` is false, and the oracle (with
     ``oracle_disease`` as its transmission parameters) when that is given.
-    It yields ``(cols, oracle, graph, events)`` after each step; ``events`` is
-    None without the engine.
+    It yields ``(cols, oracle, graph, events, oracle_events)`` after each
+    step: each simulator's ``StepEvents``, None for one that does not run.
     """
     cols, realizer = initialize_run(config, seed)
     eng = Engine(cols, config.disease, config.progression, config.interventions,
@@ -151,9 +151,8 @@ def _replay(config: ScenarioConfig, seed: int, engine: bool = True,
             stage = oracle.column("stage") if eng is None else cols.stage
             graph = realizer.realize(step, stage == int(Stage.DEAD))
             events = None if eng is None else eng.step(graph)
-            if oracle is not None:
-                oracle.step(graph)
-            yield cols, oracle, graph, events
+            oracle_events = None if oracle is None else oracle.step(graph)
+            yield cols, oracle, graph, events, oracle_events
     return steps()
 
 
@@ -163,7 +162,7 @@ def run_replication(config: ScenarioConfig, index: int) -> RunResult:
     data = np.zeros((config.horizon, len(CSV_COLUMNS)), dtype=np.int64)
     edges_total = 0
     t0 = time.perf_counter()
-    for cols, _, _, ev in _replay(config, seed):
+    for cols, _, _, ev, _ in _replay(config, seed):
         edges_total += ev.n_edges
         _record_row(data, ev.step, cols, ev)
     wall = time.perf_counter() - t0
@@ -269,7 +268,7 @@ def bench(config: ScenarioConfig, use_oracle: bool = False) -> BenchReport:
                     oracle_disease=config.disease if use_oracle else None)
     interactions = 0
     t0 = time.perf_counter()
-    for _, _, graph, _ in steps:
+    for _, _, graph, _, _ in steps:
         interactions += graph.n_edges
     wall = time.perf_counter() - t0
     return BenchReport(config.population.n_agents, config.horizon,
@@ -280,19 +279,21 @@ def bench(config: ScenarioConfig, use_oracle: bool = False) -> BenchReport:
 
 def verify_equivalence(config: ScenarioConfig, oracle_disease=None) -> int:
     """Run engine and oracle of replication 0 in lockstep on identical inputs,
-    comparing every agent column after every step.
+    comparing every agent column, then every event count, after every step.
 
     Returns the number of steps checked; raises VerificationDivergence at the
-    first differing (step, agent, field).  ``oracle_disease`` substitutes the
-    oracle's transmission parameters (the checker's own sanity test).
+    first differing (step, agent, field), or (step, event count).
+    ``oracle_disease`` substitutes the oracle's transmission parameters (the
+    checker's own sanity test).
     """
     if config.population.n_agents > 2000:
         raise ConfigError("population.n_agents: verification runs on at most 2000 "
                           f"agents, got {config.population.n_agents}")
     seed = replication_seed(config.base_seed, 0)
-    for cols, oracle, graph, _ in _replay(
+    for cols, oracle, graph, events, oracle_events in _replay(
             config, seed, oracle_disease=oracle_disease or config.disease):
         _compare_states(graph.step, cols, oracle)
+        _compare_events(events, oracle_events)
     return config.horizon
 
 
@@ -305,5 +306,13 @@ def _compare_states(step: int, cols: AgentColumns, oracle: OracleSim) -> None:
         differ = np.flatnonzero(engine_vals != oracle_vals)
         if len(differ):
             agent = int(differ[0])
-            raise VerificationDivergence(step, agent, name, engine_vals[agent],
-                                         oracle_vals[agent])
+            raise VerificationDivergence(step, agent, name, engine_vals[agent].item(),
+                                         oracle_vals[agent].item())
+
+
+def _compare_events(events: StepEvents, oracle_events: StepEvents) -> None:
+    """Every field of the two simulators' counts of one step's events."""
+    for f in fields(StepEvents):
+        ours, theirs = getattr(events, f.name), getattr(oracle_events, f.name)
+        if ours != theirs:
+            raise VerificationDivergence(events.step, None, f.name, ours, theirs)

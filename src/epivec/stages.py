@@ -1,4 +1,4 @@
-"""Disease stages, vaccine status, and network kinds.
+"""Disease stages and network kinds.
 
 Stage semantics used throughout the simulator:
 
@@ -44,13 +44,6 @@ class Stage(IntEnum):
 N_STAGES = len(Stage)
 N_AGE_BANDS = 9   # 0-10, 11-20, ..., 71-80, 80+
 N_OCCUPATIONS = 23  # occupation ids 1..23; 0 means "not employed"
-
-
-@unique
-class VaccineStatus(IntEnum):
-    PRE_VACCINATION = 0
-    FIRST_DOSE = 1
-    FULLY_VACCINATED = 2
 
 
 @unique

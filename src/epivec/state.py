@@ -12,6 +12,12 @@ pending iff test_result_at != NEVER.  Pending vaccine-immunity realizations
 carry the probability decided at scheduling time (first dose: configured
 efficacy; second dose: the top-up that lifts the marginal to the second-dose
 efficacy).
+
+No column stores what other columns determine.  An agent has had dose k iff
+dose<k>_at != NEVER; a due immunity check belongs to dose 2 iff dose2_at !=
+NEVER, as a second dose replaces a pending first-dose check; an agent
+quarantined at step t may drop out iff its quarantine began before t, that is
+iff quarantine_until < t + the quarantine duration.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import InvariantViolation
-from .stages import NEVER, N_STAGES, Stage, VaccineStatus
+from .stages import NEVER, N_STAGES, Stage
 
 
 def _column(dtype, initial=0):
@@ -31,7 +37,6 @@ def _column(dtype, initial=0):
 
 @dataclass
 class AgentColumns:
-    n_agents: int
     # static
     age_band: np.ndarray = _column(np.int8)             # 0..8
     occupation: np.ndarray = _column(np.int16)          # 0 = not employed, 1..23
@@ -43,28 +48,29 @@ class AgentColumns:
     next_transition_at: np.ndarray = _column(np.int32, NEVER)  # step
     next_stage: np.ndarray = _column(np.int8, NEVER)    # Stage
     quarantine_until: np.ndarray = _column(np.int32, NEVER)  # quarantined while > step
-    quarantine_started_at: np.ndarray = _column(np.int32, NEVER)  # step
     has_den_app: np.ndarray = _column(bool, False)
-    vaccine_status: np.ndarray = _column(np.int8, VaccineStatus.PRE_VACCINATION)
     dose1_at: np.ndarray = _column(np.int32, NEVER)     # step
     dose2_at: np.ndarray = _column(np.int32, NEVER)     # step
     immune: np.ndarray = _column(bool, False)           # vaccine immunity realized
     immunity_check_at: np.ndarray = _column(np.int32, NEVER)  # step
     immunity_check_prob: np.ndarray = _column(np.float64)  # for the pending check
-    immunity_check_dose: np.ndarray = _column(np.int8)  # dose that scheduled it; 0 = none
     test_sample_at: np.ndarray = _column(np.int32, NEVER)  # step
     test_result_at: np.ndarray = _column(np.int32, NEVER)  # step; pending while set
     test_positive: np.ndarray = _column(bool, False)    # outcome decided at sampling
     den_test_due_at: np.ndarray = _column(np.int32, NEVER)  # step
 
+    @property
+    def n_agents(self) -> int:
+        return len(self.stage)
+
     @classmethod
     def allocate(cls, n: int) -> "AgentColumns":
-        return cls(n, **{f.name: np.full(n, f.metadata["initial"], f.metadata["dtype"])
-                         for f in fields(cls) if f.metadata})
+        return cls(**{f.name: np.full(n, f.metadata["initial"], f.metadata["dtype"])
+                      for f in fields(cls)})
 
     def copy(self) -> "AgentColumns":
-        return AgentColumns(self.n_agents, **{name: getattr(self, name).copy()
-                                              for name in AGENT_COLUMNS})
+        return AgentColumns(**{name: getattr(self, name).copy()
+                               for name in AGENT_COLUMNS})
 
     def stage_counts(self) -> np.ndarray:
         return np.bincount(self.stage, minlength=N_STAGES)
@@ -81,4 +87,4 @@ class AgentColumns:
 
 
 # Every agent column in declaration order: static columns first, then dynamic.
-AGENT_COLUMNS = tuple(f.name for f in fields(AgentColumns) if f.metadata)
+AGENT_COLUMNS = tuple(f.name for f in fields(AgentColumns))

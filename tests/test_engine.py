@@ -144,13 +144,18 @@ class TestTrivialCases:
         with pytest.raises(InvariantViolation, match="clock"):
             engine.step(empty_graph(5))
 
-    def test_out_of_range_agent_index_is_hard_error(self):
+    @pytest.mark.parametrize("u, v, message", [
+        ([0], [7], r"agent 7 outside \[0, n_agents 3\)"),
+        # take() would wrap -1 to agent 2
+        ([1, -1], [0, 2], r"agent -1 outside \[0, n_agents 3\)"),
+        ([0], [-3], r"agent -3 outside \[0, n_agents 3\)"),
+        ([0, 1], [2], "2 and 1 pair ends"),   # a ragged block
+    ])
+    def test_out_of_range_agent_index_is_hard_error(self, u, v, message):
         engine = make_engine(blank_state(3))
-        bad = step_graph(0, np.array([0], dtype=np.int32),
-                         np.array([7], dtype=np.int32),
-                         np.zeros(1, dtype=np.int8))
-        with pytest.raises(InvariantViolation, match="n_agents"):
-            engine.step(bad)
+        block = (np.array(u, dtype=np.int32), np.array(v, dtype=np.int32))
+        with pytest.raises(InvariantViolation, match=message):
+            engine.step(self.household_graph(0, block))
 
     @staticmethod
     def household_graph(step, block):

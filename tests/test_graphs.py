@@ -361,6 +361,11 @@ class TestWattsStrogatz:
             watts_strogatz(10, 3, 0.1, rng)
         with pytest.raises(ValueError):
             watts_strogatz(10, 10, 0.1, rng)
+        with pytest.raises(ValueError, match="rewire probability"):
+            watts_strogatz(10, 4, 1.5, rng)
+        # degree 0 is no error: a graph without edges
+        us, vs = watts_strogatz(10, 0, 0.1, rng)
+        assert len(us) == len(vs) == 0
 
     def test_clustering_between_lattice_and_random(self):
         # 1000 nodes, k=6: rewiring at beta=0.1 must land strictly between

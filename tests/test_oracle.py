@@ -16,7 +16,7 @@ from epivec.runner import bench, replication_seed, run_replication, verify_equiv
 from epivec.scenario import (default_disease_dict, default_population_dict,
                              scenario_from_dict)
 from epivec.stages import Stage
-from epivec.errors import VerificationDivergence
+from epivec.errors import InvariantViolation, VerificationDivergence
 
 from test_interventions import (blank_state, empty_graph, flat_disease, simple_table,
                                 step_graph)
@@ -45,6 +45,12 @@ ALL_INTERVENTIONS = {
 
 
 class TestReplayEquivalence:
+    def test_clock_mismatch_is_hard_error(self):
+        sim = OracleSim(agents_from_columns(blank_state(3)), flat_disease(),
+                        simple_table(), InterventionConfig(), seed=0)
+        with pytest.raises(InvariantViolation, match="oracle clock is 0"):
+            sim.step(empty_graph(5))
+
     def test_empty_graph_noop_parity(self):
         cols = blank_state(10)
         engine = Engine(cols, flat_disease(), simple_table(),
@@ -64,8 +70,13 @@ class TestReplayEquivalence:
         perturbed = flat_disease(rate=1.9)
         with pytest.raises(VerificationDivergence) as exc_info:
             verify_equivalence(config, oracle_disease=perturbed)
-        assert exc_info.value.step >= 0
-        assert exc_info.value.field
+        e = exc_info.value
+        assert e.step >= 0 and e.field
+        # plain Python values, not numpy scalars, in the exception and its text
+        assert type(e.engine_value) is type(e.oracle_value) \
+            and type(e.engine_value) in (int, float, bool)
+        assert str(e) == (f"divergence at step {e.step}, agent {e.agent}, field "
+                          f"{e.field!r}: engine={e.engine_value} oracle={e.oracle_value}")
 
     @pytest.mark.parametrize("field, value", [("age_band", 8), ("household_id", -5)])
     def test_checker_detects_corrupted_static_column(self, monkeypatch, field, value):
@@ -113,7 +124,32 @@ class TestVerifySeesTheEngine:
         with pytest.raises(VerificationDivergence) as exc_info:
             verify_equivalence(config)
         assert exc_info.value.step == 0
-        assert exc_info.value.field in ("vaccine_status", "dose1_at")
+        assert exc_info.value.field == "dose1_at"
+
+    @pytest.mark.parametrize("phase, event", [
+        ("_phase_transmission", "new_infections"),
+        ("_phase_test_sampling", "tests_administered"),
+        ("_phase_test_delivery", "notifications_sent"),
+        ("_phase_vaccination", "doses_given"),
+    ])
+    def test_over_counted_event_diverges(self, monkeypatch, phase, event):
+        """A phase that counts one event too many leaves every column as it
+        was; the oracle counts the events itself, so verify names the count."""
+        real = getattr(Engine, phase)
+
+        def over_counting(self, *args):
+            real(self, *args)
+            ev = args[-1]   # every phase takes the step's events last
+            setattr(ev, event, getattr(ev, event) + 1)
+        monkeypatch.setattr(Engine, phase, over_counting)
+        config = small_scenario(n=150, horizon=3, interventions=ALL_INTERVENTIONS)
+        with pytest.raises(VerificationDivergence) as exc_info:
+            verify_equivalence(config)
+        e = exc_info.value
+        assert (e.step, e.agent, e.field) == (0, None, event)
+        assert e.engine_value == e.oracle_value + 1
+        assert str(e) == (f"divergence at step 0, event count {event!r}: "
+                          f"engine={e.engine_value} oracle={e.oracle_value}")
 
 
 def differential_scenario(n, horizon, infections, seed, rate, interventions):

@@ -261,6 +261,11 @@ class TestScenarioLoading:
          "progression.edges[3].probability[0]", "a number"),
         ({"population": {"age_distribution": ["a"] + [0.125] * 8}},
          "population.age_distribution[0]", "a number"),
+        ({"population": {"age_distribution": [0.125] * 8}},
+         "population.age_distribution", "9 entries"),
+        ({"population": {"household_size_distribution": {
+            "sizes": [1, 2, 3, 4, 5, 6], "probabilities": [0.2] * 5}}},
+         "population.household_size_distribution.probabilities", "6 entries"),
         ({"population": {"occupation_eligible_age_bands": [2, 2.5, 4]}},
          "population.occupation_eligible_age_bands[1]", "a whole number"),
         ({"population": {"household_size_distribution": {
@@ -629,6 +634,8 @@ class TestCli:
         pytest.param("".join(GOOD_RUN.splitlines(keepends=True)[:2]), id="two lines"),
         pytest.param(GOOD_RUN.replace("seed=7", "seed=x"), id="non-integer seed"),
         pytest.param(GOOD_RUN.replace(" seed=7", ""), id="no seed"),
+        pytest.param(GOOD_RUN.replace(SCHEMA, "epivec-timeseries-v0"),
+                     id="another schema"),
         pytest.param(GOOD_RUN.replace(",20,", ",x190,"), id="non-integer cell"),
         pytest.param(GOOD_RUN.replace(",21,", ",2.5,"), id="fractional cell"),
         pytest.param(GOOD_RUN.replace(",37\n", "\n"), id="ragged row"),
@@ -824,6 +831,23 @@ class TestCli:
         assert main(["bench", "--agents", "300", "--steps", "3"]) == 0
         out = capsys.readouterr().out
         assert "interactions" in out
+
+    @pytest.mark.parametrize("runs, message", [
+        pytest.param([GOOD_RUN, RunResult(1, 7, np.arange(len(CSV_COLUMNS))
+                                          .reshape(1, -1)).to_csv()],
+                     "replications disagree on horizon", id="two horizons"),
+        pytest.param([], "no run_*.csv files under {}", id="no run files"),
+    ])
+    def test_summarize_refuses_runs_it_cannot_stack(self, tmp_path, capsys, runs,
+                                                    message):
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        for i, text in enumerate(runs):
+            (run_dir / f"run_{i:03d}.csv").write_text(text)
+        assert main(["summarize", "--in", str(run_dir),
+                     "--out", str(tmp_path / "summary.csv")]) == 1
+        assert capsys.readouterr().err == \
+            f"configuration error: {message.format(run_dir)}\n"
 
     def test_verify_rejects_large_population(self, tmp_path, capsys):
         scenario = self.write_scenario(tmp_path, n=3000)

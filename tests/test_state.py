@@ -9,14 +9,13 @@ import pytest
 
 from epivec.errors import InvariantViolation
 from epivec.oracle import NaiveAgent, agents_from_columns
-from epivec.stages import NEVER, Stage, VaccineStatus
+from epivec.stages import NEVER, Stage
 from epivec.state import AGENT_COLUMNS, AgentColumns
 
 
 def explicit_allocate(n):
     """The hand-written allocation the column declarations replaced."""
     return AgentColumns(
-        n_agents=n,
         age_band=np.zeros(n, dtype=np.int8),
         occupation=np.zeros(n, dtype=np.int16),
         household_id=np.zeros(n, dtype=np.int32),
@@ -26,15 +25,12 @@ def explicit_allocate(n):
         next_transition_at=np.full(n, NEVER, dtype=np.int32),
         next_stage=np.full(n, NEVER, dtype=np.int8),
         quarantine_until=np.full(n, NEVER, dtype=np.int32),
-        quarantine_started_at=np.full(n, NEVER, dtype=np.int32),
         has_den_app=np.zeros(n, dtype=bool),
-        vaccine_status=np.full(n, int(VaccineStatus.PRE_VACCINATION), dtype=np.int8),
         dose1_at=np.full(n, NEVER, dtype=np.int32),
         dose2_at=np.full(n, NEVER, dtype=np.int32),
         immune=np.zeros(n, dtype=bool),
         immunity_check_at=np.full(n, NEVER, dtype=np.int32),
         immunity_check_prob=np.zeros(n, dtype=np.float64),
-        immunity_check_dose=np.zeros(n, dtype=np.int8),
         test_sample_at=np.full(n, NEVER, dtype=np.int32),
         test_result_at=np.full(n, NEVER, dtype=np.int32),
         test_positive=np.zeros(n, dtype=bool),
@@ -50,16 +46,15 @@ def python_type(dtype):
 @pytest.mark.parametrize("n", [0, 1, 17])
 def test_allocate_matches_explicit_reference(n):
     got, want = AgentColumns.allocate(n), explicit_allocate(n)
-    assert got.n_agents == n
-    for f in dataclasses.fields(AgentColumns)[1:]:
+    assert got.n_agents == n and got.copy().n_agents == n
+    for f in dataclasses.fields(AgentColumns):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a.dtype == b.dtype, f.name
         assert a.tobytes() == b.tobytes(), f.name
 
 
 def test_agent_columns_cover_every_array_field():
-    assert AGENT_COLUMNS == tuple(f.name for f in dataclasses.fields(AgentColumns)
-                                  if f.name != "n_agents")
+    assert AGENT_COLUMNS == tuple(f.name for f in dataclasses.fields(AgentColumns))
     assert AGENT_COLUMNS[:4] == ("age_band", "occupation", "household_id",
                                  "random_degree")
 
@@ -99,10 +94,14 @@ def test_copy_is_deep_and_complete():
     assert cols.stage[0] == int(Stage.SUSCEPTIBLE)
 
 
-@pytest.mark.parametrize("stage", [-1, len(Stage)])
-def test_stage_out_of_range_is_invariant_violation(stage):
+@pytest.mark.parametrize("stage, infected_at, message", [
+    (-1, 0, "stage out of range"),
+    (len(Stage), 0, "stage out of range"),
+    (int(Stage.RECOVERED), NEVER, "non-susceptible agent without infection timestamp"),
+])
+def test_broken_state_is_invariant_violation(stage, infected_at, message):
     cols = AgentColumns.allocate(4)
     cols.stage[2] = stage
-    cols.infected_at[2] = 0
-    with pytest.raises(InvariantViolation, match="^step 7: stage out of range$"):
+    cols.infected_at[2] = infected_at
+    with pytest.raises(InvariantViolation, match=f"^step 7: {message}$"):
         cols.check_invariants(7)
