@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the scenario's base seed")
     p.add_argument("--out", required=True, help="output directory for run CSVs")
     p.add_argument("--threads", type=_workers, default=1,
-                   help="concurrent replication workers")
+                   help="concurrent replication workers, at most one per "
+                   "replication")
 
     p = sub.add_parser("summarize", help="quartile summary over a run directory")
     p.add_argument("--in", dest="run_dir", required=True)
@@ -98,6 +99,7 @@ def _cmd_summarize(args) -> int:
     results = load_results(args.run_dir)
     summary = summarize(results)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(summary_to_csv(summary))
     long_path = out.with_name(out.stem + "_long" + out.suffix)
     long_path.write_text(summary_to_long_csv(summary))
@@ -137,7 +139,9 @@ def _cmd_compare(args) -> int:
     if args.out:
         header = ["scenario"] + [f"{metric}_q{q}" for metric in ("infections", "deaths")
                                  for q in QUARTILES]
-        Path(args.out).write_text(csv_text([], header, (
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(csv_text([], header, (
             [name, *infections.tolist(), *deaths.tolist()]
             for name, infections, deaths in rows)))
     return 0

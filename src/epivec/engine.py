@@ -18,6 +18,10 @@ phase order (the reference oracle mirrors it exactly):
    budget in priority order once the start trigger has latched;
 7. bookkeeping: contact-log push, event counts, invariant checks, clock.
 
+Every phase runs one path for any number of agents: on an empty selection
+its array operations do nothing.  A branch on an empty set stays only where
+numpy needs it or where it skips a scan, and its comment says which.
+
 Hazard accumulation reads each pair of a network block in both directions,
 visits only those from a live source into a susceptible target, and sums them
 in canonical (target, source, network) order, so the gather is invariant
@@ -105,7 +109,7 @@ class Engine:
         # one key per (target, source, kind); equal keys carry equal hazard,
         # so sorting the keys alone leaves every per-target sum bit-identical
         key = np.sort(np.concatenate(keys))
-        if not len(key):
+        if not len(key):   # bincount of no index returns int64, not float64
             return np.zeros(n, dtype=np.float64)
         k = key % N_NETWORK_KINDS
         d, s = np.divmod(key // N_NETWORK_KINDS, n)
@@ -120,11 +124,8 @@ class Engine:
         return np.bincount(d, weights=lam, minlength=n)
 
     def _target_mask(self) -> np.ndarray:
-        c = self.cols
-        mask = c.stage == int(Stage.SUSCEPTIBLE)
-        if self._sterilizing:
-            mask &= ~c.immune
-        return mask
+        # a sterilized agent is vaccinated, so no target is immune (state.py)
+        return self.cols.stage == int(Stage.SUSCEPTIBLE)
 
     # -- the step ----------------------------------------------------------
 
@@ -138,7 +139,7 @@ class Engine:
             if len(u) != len(v):
                 raise InvariantViolation(
                     f"graph block has {len(u)} and {len(v)} pair ends")
-            if len(u):
+            if len(u):   # max() of an empty block raises
                 # viewed as unsigned, a negative id reads as a huge one
                 if max(_unsigned(u).max(), _unsigned(v).max()) >= c.n_agents:
                     ends = np.concatenate([u, v])
@@ -192,13 +193,9 @@ class Engine:
         den_due = np.nonzero(c.den_test_due_at == step)[0]
         c.den_test_due_at[den_due] = NEVER
         candidates = np.unique(np.concatenate([newly_symptomatic, den_due]))
-        if not len(candidates):
-            return
         ok = ((c.test_result_at[candidates] == NEVER)
               & (c.stage[candidates] != int(Stage.DEAD)))
         ids = candidates[ok]
-        if not len(ids):
-            return
         kind = self.iv.testing.kind
         u_pos = uniforms(self.seed, step, Purpose.TEST_POSITIVE, ids)
         active = ACTIVE_INFECTION_STAGE[c.stage[ids]]
@@ -214,30 +211,24 @@ class Engine:
         c = self.cols
         step = self.clock
         due = np.nonzero(c.test_result_at == step)[0]
-        if not len(due):
-            return
         positives = due[c.test_positive[due]]
         c.test_result_at[due] = NEVER
         c.test_positive[due] = False
-        if self.iv.quarantine.enabled and len(positives):
+        if self.iv.quarantine.enabled:
             c.quarantine_until[positives] = step + self.iv.quarantine.duration
-        if self.iv.den.enabled and len(positives):
+        if self.iv.den.enabled:
             self._notify_contacts(positives, ev)
 
     def _notify_contacts(self, positives: np.ndarray, ev: StepEvents) -> None:
         c = self.cols
         step = self.clock
         notifiers = positives[c.has_den_app[positives]]
-        if not len(notifiers):
+        if not len(notifiers):   # skips the scan of every block in the window
             return
         contacts = self.contact_log.contacts_of(notifiers)   # app holders only
-        if not len(contacts):
-            return
         keep = ((c.quarantine_until[contacts] <= step)
                 & (c.stage[contacts] != int(Stage.DEAD)))
         notified = contacts[keep]
-        if not len(notified):
-            return
         ev.notifications_sent = len(notified)
         u = uniforms(self.seed, step, Purpose.DEN_COMPLIANCE, notified)
         compliant = notified[u < self.iv.den.compliance_prob]
@@ -248,8 +239,6 @@ class Engine:
         step = self.clock
         q = np.nonzero((c.quarantine_until > step)
                        & (c.quarantine_until < step + self.iv.quarantine.duration))[0]
-        if not len(q):
-            return
         u = uniforms(self.seed, step, Purpose.QUARANTINE_DROPOUT, q)
         leavers = q[u < self.iv.quarantine.dropout_prob]
         c.quarantine_until[leavers] = step
@@ -259,11 +248,7 @@ class Engine:
         step = self.clock
         policy = self.iv.vaccination
 
-        due = np.nonzero(c.immunity_check_at == step)[0]
-        second = c.dose2_at[due] != NEVER
-        for dose_k, ids in ((1, due[~second]), (2, due[second])):
-            if len(ids):
-                self._realize_immunity(ids, dose_k)
+        self._realize_immunity(np.nonzero(c.immunity_check_at == step)[0])
 
         if not self.vaccination_open:
             infected_now = int(ACTIVE_INFECTION_STAGE[c.stage].sum())
@@ -273,8 +258,6 @@ class Engine:
             return
 
         budget = policy.doses_per_day(c.n_agents)
-        if budget <= 0:
-            return
         blocked = ((c.stage == int(Stage.DEAD))
                    | (c.stage == int(Stage.HOSPITALIZED))
                    | (c.stage == int(Stage.CRITICAL_ICU)))
@@ -282,8 +265,6 @@ class Engine:
         d2 = ((c.dose1_at != NEVER) & (c.dose2_at == NEVER)
               & (step >= c.dose1_at + policy.dose_gap) & ~blocked)
         eligible = np.nonzero(d1 | d2)[0]
-        if not len(eligible):
-            return
         order = priority_sort_key(policy.strategy, policy.elderly_band,
                                   c.age_band[eligible], d2[eligible],
                                   eligible)
@@ -293,27 +274,27 @@ class Engine:
         second_mask = d2[take]
         first = take[~second_mask]
         second = take[second_mask]
-        if len(first):
-            c.dose1_at[first] = step
-            c.immunity_check_at[first] = step + policy.dose1_latency
-            c.immunity_check_prob[first] = policy.dose1_efficacy
-            if policy.dose1_latency == 0:
-                self._realize_immunity(first, 1)
+        c.dose1_at[first] = step
+        c.immunity_check_at[first] = step + policy.dose1_latency
+        c.immunity_check_prob[first] = policy.dose1_efficacy
+        if policy.dose1_latency == 0:
+            self._realize_immunity(first)
 
-        if len(second):
-            c.dose2_at[second] = step
-            pending = c.immunity_check_at[second] != NEVER
-            prob = np.where(pending, policy.dose2_efficacy,
-                            policy.dose2_topup_prob())
-            prob = np.where(c.immune[second], 0.0, prob)
-            c.immunity_check_at[second] = step + policy.dose2_latency
-            c.immunity_check_prob[second] = prob
-            if policy.dose2_latency == 0:
-                self._realize_immunity(second, 2)
+        c.dose2_at[second] = step
+        pending = c.immunity_check_at[second] != NEVER
+        prob = np.where(pending, policy.dose2_efficacy,
+                        policy.dose2_topup_prob())
+        prob = np.where(c.immune[second], 0.0, prob)
+        c.immunity_check_at[second] = step + policy.dose2_latency
+        c.immunity_check_prob[second] = prob
+        if policy.dose2_latency == 0:
+            self._realize_immunity(second)
 
-    def _realize_immunity(self, ids: np.ndarray, dose_k: int) -> None:
+    def _realize_immunity(self, ids: np.ndarray) -> None:
         c = self.cols
-        u = uniforms(self.seed, self.clock, Purpose.VACCINE_IMMUNITY, ids, k=dose_k)
+        # a due check is dose 2's iff dose 2 was given (state.py)
+        k = np.where(c.dose2_at[ids] == NEVER, 1, 2)
+        u = uniforms(self.seed, self.clock, Purpose.VACCINE_IMMUNITY, ids, k=k)
         ok = ids[(u < c.immunity_check_prob[ids])
                  & (c.stage[ids] == int(Stage.SUSCEPTIBLE))]
         c.immune[ok] = True

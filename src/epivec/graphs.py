@@ -171,25 +171,20 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
     frac = target_degrees - base
     extra = rng.random(len(agents)) < frac
     counts = base + extra
-    stubs = np.repeat(agents, counts)
-    if len(stubs) < 2:
-        empty = np.empty(0, dtype=np.int32)
-        return empty, empty.copy()
-    stubs = rng.permutation(stubs)
+    stubs = rng.permutation(np.repeat(agents, counts))
     if len(stubs) % 2:
         stubs = stubs[:-1]
     us, vs = stubs[0::2], stubs[1::2]
     keep = us != vs
     us, vs = us[keep], vs[keep]
     # drop duplicate undirected pairs, keeping each pair's first occurrence
-    if len(us):
+    if len(us):   # max() of an empty array raises
         n = int(max(us.max(), vs.max())) + 1
         key = np.minimum(us, vs).astype(np.int64)
         key *= n
         key += np.maximum(us, vs)
         later = _later_repeats(key)
-        if len(later):
-            us, vs = np.delete(us, later), np.delete(vs, later)
+        us, vs = np.delete(us, later), np.delete(vs, later)
     return us.astype(np.int32, copy=False), vs.astype(np.int32, copy=False)
 
 

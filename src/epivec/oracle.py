@@ -36,7 +36,8 @@ class NaiveAgent:
     """One agent as an individual record: ``agent_id``, then one field per
     agent column, in ``AGENT_COLUMNS`` order.  Like the columns, the fields
     store no fact that others determine: the doses had, the dose of a due
-    immunity check and dropout eligibility are read off them (``state.py``)."""
+    immunity check, dropout eligibility and whether an agent can be infected
+    are read off them (``state.py``)."""
 
     agent_id: int
     age_band: int
@@ -88,7 +89,7 @@ class OracleSim:
     # -- helpers -----------------------------------------------------------
 
     def _is_target(self, a: NaiveAgent) -> bool:
-        return a.stage == int(Stage.SUSCEPTIBLE) and not (self._sterilizing and a.immune)
+        return a.stage == int(Stage.SUSCEPTIBLE)
 
     def _incident_hazards(self, graph: StepGraph, step: int):
         """Per-target lists of (source id, kind, hazard), each pair walked both ways."""
@@ -156,7 +157,7 @@ class OracleSim:
             a = self.agents[i]
             u_entry = uniform(self.seed, step, Purpose.ENTRY_STAGE, i)
             entry = self.table.entry_stage(a.age_band, u_entry)
-            if not self._sterilizing and a.immune:
+            if a.immune:
                 entry = Stage.ASYMPTOMATIC
             a.infected_at = step
             self._enter(a, int(entry), step)

@@ -91,8 +91,13 @@ def uniform(seed: int, step: int, purpose: int, agent: int, k: int = 0) -> float
 
 
 def uniforms(seed: int, step: int, purpose: int, agents: np.ndarray,
-             k: int = 0) -> np.ndarray:
-    """Keyed draws in [0, 1) for an array of agent ids; engine path."""
+             k: int | np.ndarray = 0) -> np.ndarray:
+    """Keyed draws in [0, 1) for an array of agent ids; engine path.  ``k`` is
+    one value or one per agent.  No ids return at once, since hashing the key
+    prefix alone costs tens of microseconds and the engine's phases call this
+    on empty sets every step."""
+    if not len(agents):
+        return np.empty(0, dtype=np.float64)
     h0 = key_prefix(seed, step, purpose)
     with np.errstate(over="ignore"):
         a = np.asarray(agents, dtype=np.uint64)

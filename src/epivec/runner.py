@@ -180,7 +180,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
     run = partial(run_replication, config)
     indices = range(config.replications)
     if workers > 1 and len(indices) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its workers at once: no more than there is work for
+        with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
             results = list(pool.map(run, indices))
     else:
         results = list(map(run, indices))
@@ -236,7 +237,7 @@ def load_results(run_dir: str | Path) -> list[RunResult]:
     for path in paths:
         try:
             results.append(RunResult.from_csv(path.read_text()))
-        except (ConfigError, UnicodeDecodeError) as e:
+        except (ConfigError, OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: {e}") from e
     return results
 

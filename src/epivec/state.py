@@ -17,7 +17,9 @@ No column stores what other columns determine.  An agent has had dose k iff
 dose<k>_at != NEVER; a due immunity check belongs to dose 2 iff dose2_at !=
 NEVER, as a second dose replaces a pending first-dose check; an agent
 quarantined at step t may drop out iff its quarantine began before t, that is
-iff quarantine_until < t + the quarantine duration.
+iff quarantine_until < t + the quarantine duration.  Under sterilizing
+immunity an immune agent is vaccinated, a stage it never leaves, so the
+transmission target is exactly the susceptible stage.
 """
 
 from __future__ import annotations

@@ -335,6 +335,11 @@ class TestExposureNotification:
             log.push(g)
             assert len(log) == min(3, step + 1)
 
+    def test_contacts_of_before_any_push_is_empty(self):
+        log = ContactLog(lookback=3, has_app=np.ones(4, dtype=bool))
+        contacts = log.contacts_of(np.array([0, 2]))
+        assert contacts.dtype == np.int32 and contacts.shape == (0,)
+
 
 class ReferenceContactLog:
     """The contact log before it kept only app-holder pairs, verbatim: every

@@ -244,6 +244,28 @@ class TestDifferentialConfigSpace:
         assert (result.column("notifications_sent").sum() > 0) == notified
 
 
+class TestSterilizingTarget:
+    """The engine's and the oracle's transmission target is the susceptible
+    stage alone; that rests on no susceptible agent being immune under
+    sterilizing immunity (``state.py``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 300), horizon=st.integers(1, 30),
+           infections=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           rate=st.sampled_from([1.0, 3.0]), interventions=intervention_blocks())
+    @example(n=300, horizon=30, infections=12, seed=4, rate=3.0,
+             interventions=ZERO_LATENCY)
+    def test_no_susceptible_agent_is_immune(self, n, horizon, infections, seed, rate,
+                                            interventions):
+        vaccination = {**interventions["vaccination"], "enabled": True,
+                       "immunity_mode": "sterilizing"}
+        config = differential_scenario(n, horizon, infections, seed, rate,
+                                       {**interventions, "vaccination": vaccination})
+        steps = runner._replay(config, replication_seed(config.base_seed, 0))
+        for cols, *_ in steps:
+            assert not (cols.immune & (cols.stage == int(Stage.SUSCEPTIBLE))).any()
+
+
 class TestAggregateInfectionDraw:
     def test_marginal_on_multi_edge_target(self):
         # two infectious sources into one target: the one aggregate draw

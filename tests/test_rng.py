@@ -18,11 +18,26 @@ def test_scalar_matches_vector(seed, step, agent, k):
     assert scalar == vector[0]
 
 
-def test_vector_batch_matches_scalars():
+@pytest.mark.parametrize("per_agent_k", [False, True])
+def test_vector_batch_matches_scalars(per_agent_k):
     agents = np.arange(500)
-    vec = uniforms(11, 3, Purpose.PROGRESSION_DELAY, agents)
-    for i in (0, 1, 17, 499):
-        assert vec[i] == uniform(11, 3, Purpose.PROGRESSION_DELAY, i)
+    k = np.where(agents % 3 == 0, 2, 1) if per_agent_k else 0
+    vec = uniforms(11, 3, Purpose.PROGRESSION_DELAY, agents, k=k)
+    for i in (0, 1, 17, 498, 499):
+        k_i = int(k[i]) if per_agent_k else 0
+        assert vec[i] == uniform(11, 3, Purpose.PROGRESSION_DELAY, i, k=k_i)
+    if per_agent_k:
+        # one call with a k per agent draws what one call per k value draws
+        for value in (1, 2):
+            split = uniforms(11, 3, Purpose.PROGRESSION_DELAY, agents[k == value],
+                             k=value)
+            assert np.array_equal(vec[k == value], split)
+
+
+def test_no_ids_draw_nothing():
+    u = uniforms(11, 3, Purpose.VACCINE_IMMUNITY, np.empty(0, dtype=np.int64),
+                 k=np.empty(0, dtype=np.int64))
+    assert u.dtype == np.float64 and u.shape == (0,)
 
 
 def test_draws_in_unit_interval_and_spread():

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import epivec
-from epivec import cli
+from epivec import cli, runner
 from epivec.cli import main
 from epivec.errors import ConfigError, InvariantViolation, VerificationDivergence
 from epivec.interventions import InterventionConfig
@@ -436,6 +436,29 @@ class TestDeterminism:
             assert (tmp_path / "serial" / name).read_bytes() \
                 == (tmp_path / "pooled" / name).read_bytes()
 
+    def test_pool_starts_no_more_workers_than_replications(self, monkeypatch):
+        """The pool starts every worker it is asked for at its first submit, so
+        asking for more than there are replications starts idle processes."""
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        config = tiny_scenario(horizon=2, replications=2)
+        assert len(run_scenario(config, workers=64)) == 2
+        assert asked == [2]
+
     def test_zero_transmission_keeps_seeded_count(self):
         disease = json.loads(json.dumps({
             "rate_scale": 0.0,
@@ -644,13 +667,16 @@ class TestCli:
         pytest.param("".join(GOOD_RUN.splitlines(keepends=True)[:3]),
                      id="no data rows"),
         pytest.param(b"\xff\xfe\x00", id="not text"),
+        pytest.param(None, id="directory"),
     ])
     def test_bad_run_file_is_config_error(self, tmp_path, capsys, content):
         run_dir = tmp_path / "runs"
         run_dir.mkdir()
         (run_dir / "run_000.csv").write_text(GOOD_RUN)
         bad = run_dir / "run_001.csv"
-        if isinstance(content, str):
+        if content is None:
+            bad.mkdir()
+        elif isinstance(content, str):
             bad.write_text(content)
         else:
             bad.write_bytes(content)
@@ -848,6 +874,17 @@ class TestCli:
                      "--out", str(tmp_path / "summary.csv")]) == 1
         assert capsys.readouterr().err == \
             f"configuration error: {message.format(run_dir)}\n"
+
+    @pytest.mark.parametrize("command", ["summarize", "compare"])
+    def test_out_into_a_new_directory(self, tmp_path, capsys, command):
+        scenario = self.write_scenario(tmp_path, horizon=3)
+        runs = tmp_path / "runs"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(runs)]) == 0
+        out = tmp_path / "new" / "dir" / "x.csv"
+        source = {"summarize": ["--in", str(runs)],
+                  "compare": ["--scenarios", str(scenario)]}[command]
+        assert main([command, *source, "--out", str(out)]) == 0
+        assert out.read_text()
 
     def test_verify_rejects_large_population(self, tmp_path, capsys):
         scenario = self.write_scenario(tmp_path, n=3000)
