@@ -18,8 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation, VerificationDivergence
-from .runner import (QUARTILES, bench, csv_text, load_results, run_scenario,
-                     summarize, summary_to_csv, summary_to_long_csv,
+from .runner import (QUARTILES, bench, csv_text, load_results, output_dir,
+                     run_scenario, summarize, summary_to_csv, summary_to_long_csv,
                      verify_equivalence)
 from .scenario import default_scenario, load_scenario
 
@@ -96,10 +96,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    out = Path(args.out)
+    output_dir(out.parent)
     results = load_results(args.run_dir)
     summary = summarize(results)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(summary_to_csv(summary))
     long_path = out.with_name(out.stem + "_long" + out.suffix)
     long_path.write_text(summary_to_long_csv(summary))
@@ -125,6 +125,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.out:
+        output_dir(Path(args.out).parent)
     rows = []
     for path in args.scenarios:
         config = load_scenario(path)
@@ -139,9 +141,7 @@ def _cmd_compare(args) -> int:
     if args.out:
         header = ["scenario"] + [f"{metric}_q{q}" for metric in ("infections", "deaths")
                                  for q in QUARTILES]
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(csv_text([], header, (
+        Path(args.out).write_text(csv_text([], header, (
             [name, *infections.tolist(), *deaths.tolist()]
             for name, infections, deaths in rows)))
     return 0

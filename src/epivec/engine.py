@@ -202,7 +202,6 @@ class Engine:
         positive = np.where(active, u_pos < kind.detection_prob,
                             u_pos < self.iv.testing.false_positive_prob)
         u_turn = uniforms(self.seed, step, Purpose.TEST_TURNAROUND, ids)
-        c.test_sample_at[ids] = step
         c.test_result_at[ids] = step + kind.turnaround(u_turn)
         c.test_positive[ids] = positive
         ev.tests_administered = len(ids)
@@ -248,7 +247,12 @@ class Engine:
         step = self.clock
         policy = self.iv.vaccination
 
-        self._realize_immunity(np.nonzero(c.immunity_check_at == step)[0])
+        # when a check falls due (state.py); step - latency can be NEVER
+        no_dose2 = c.dose2_at == NEVER
+        due = ((no_dose2 & (c.dose1_at != NEVER)
+                & (c.dose1_at == step - policy.dose1_latency))
+               | (~no_dose2 & (c.dose2_at == step - policy.dose2_latency)))
+        self._realize_immunity(np.flatnonzero(due))
 
         if not self.vaccination_open:
             infected_now = int(ACTIVE_INFECTION_STAGE[c.stage].sum())
@@ -271,34 +275,25 @@ class Engine:
         take = eligible[order][:budget]
         ev.doses_given = len(take)
 
-        second_mask = d2[take]
-        first = take[~second_mask]
-        second = take[second_mask]
-        c.dose1_at[first] = step
-        c.immunity_check_at[first] = step + policy.dose1_latency
-        c.immunity_check_prob[first] = policy.dose1_efficacy
-        if policy.dose1_latency == 0:
-            self._realize_immunity(first)
-
-        c.dose2_at[second] = step
-        pending = c.immunity_check_at[second] != NEVER
-        prob = np.where(pending, policy.dose2_efficacy,
-                        policy.dose2_topup_prob())
-        prob = np.where(c.immune[second], 0.0, prob)
-        c.immunity_check_at[second] = step + policy.dose2_latency
-        c.immunity_check_prob[second] = prob
-        if policy.dose2_latency == 0:
-            self._realize_immunity(second)
+        second = d2[take]
+        c.dose1_at[take[~second]] = step
+        c.dose2_at[take[second]] = step
+        latency = np.where(second, policy.dose2_latency, policy.dose1_latency)
+        self._realize_immunity(take[latency == 0])
 
     def _realize_immunity(self, ids: np.ndarray) -> None:
         c = self.cols
-        # a due check is dose 2's iff dose 2 was given (state.py)
-        k = np.where(c.dose2_at[ids] == NEVER, 1, 2)
-        u = uniforms(self.seed, self.clock, Purpose.VACCINE_IMMUNITY, ids, k=k)
-        ok = ids[(u < c.immunity_check_prob[ids])
-                 & (c.stage[ids] == int(Stage.SUSCEPTIBLE))]
+        policy = self.iv.vaccination
+        # a due check is dose 2's iff dose 2 was given; it rolls the full
+        # second-dose efficacy iff dose 1's check was still pending (state.py)
+        second = c.dose2_at[ids] != NEVER
+        pending = c.dose1_at[ids] + policy.dose1_latency > c.dose2_at[ids]
+        prob = np.where(second, np.where(pending, policy.dose2_efficacy,
+                                         policy.dose2_topup_prob()),
+                        policy.dose1_efficacy)
+        u = uniforms(self.seed, self.clock, Purpose.VACCINE_IMMUNITY, ids,
+                     k=np.where(second, 2, 1))
+        ok = ids[(u < prob) & (c.stage[ids] == int(Stage.SUSCEPTIBLE))]
         c.immune[ok] = True
         if self._sterilizing:
             c.stage[ok] = int(Stage.VACCINATED)
-        c.immunity_check_at[ids] = NEVER
-        c.immunity_check_prob[ids] = 0.0

@@ -35,9 +35,9 @@ from .transmission import DiseaseParams, edge_hazard, infection_probability
 class NaiveAgent:
     """One agent as an individual record: ``agent_id``, then one field per
     agent column, in ``AGENT_COLUMNS`` order.  Like the columns, the fields
-    store no fact that others determine: the doses had, the dose of a due
-    immunity check, dropout eligibility and whether an agent can be infected
-    are read off them (``state.py``)."""
+    store no fact that others determine: the doses had, when an immunity
+    check falls due, its dose and its probability, dropout eligibility and
+    whether an agent can be infected are read off them (``state.py``)."""
 
     agent_id: int
     age_band: int
@@ -53,9 +53,6 @@ class NaiveAgent:
     dose1_at: int
     dose2_at: int
     immune: bool
-    immunity_check_at: int
-    immunity_check_prob: float
-    test_sample_at: int
     test_result_at: int
     test_positive: bool
     den_test_due_at: int
@@ -205,7 +202,6 @@ class OracleSim:
             else:
                 positive = u_pos < self.iv.testing.false_positive_prob
             u_turn = uniform(self.seed, step, Purpose.TEST_TURNAROUND, i)
-            a.test_sample_at = step
             a.test_result_at = step + kind.turnaround(u_turn)
             a.test_positive = bool(positive)
         return tests
@@ -259,7 +255,13 @@ class OracleSim:
         """Resolve the due immunity checks, then dose; return the doses given."""
         policy = self.iv.vaccination
         for a in self.agents:
-            if a.immunity_check_at == step:
+            # dose k's check falls due dose<k>_latency steps after it, dose 1's
+            # only while there is no dose 2
+            if a.dose2_at != NEVER:
+                due = a.dose2_at + policy.dose2_latency == step
+            else:
+                due = a.dose1_at != NEVER and a.dose1_at + policy.dose1_latency == step
+            if due:
                 self._realize_immunity(a, step)
 
         if not self.vaccination_open:
@@ -285,22 +287,14 @@ class OracleSim:
 
         doses = sorted(eligible, key=lambda e: self._priority(*e))[:budget]
         for a, is_second in doses:
-            if not is_second:
-                a.dose1_at = step
-                a.immunity_check_at = step + policy.dose1_latency
-                a.immunity_check_prob = policy.dose1_efficacy
-                if policy.dose1_latency == 0:
-                    self._realize_immunity(a, step)
-            else:
+            if is_second:
                 a.dose2_at = step
-                pending = a.immunity_check_at != NEVER
-                prob = policy.dose2_efficacy if pending else policy.dose2_topup_prob()
-                if a.immune:
-                    prob = 0.0
-                a.immunity_check_at = step + policy.dose2_latency
-                a.immunity_check_prob = prob
-                if policy.dose2_latency == 0:
-                    self._realize_immunity(a, step)
+                latency = policy.dose2_latency
+            else:
+                a.dose1_at = step
+                latency = policy.dose1_latency
+            if latency == 0:
+                self._realize_immunity(a, step)
         return len(doses)
 
     def _priority(self, a: NaiveAgent, is_second: bool) -> tuple:
@@ -318,14 +312,18 @@ class OracleSim:
         return (group, -a.age_band, is_second, a.agent_id)
 
     def _realize_immunity(self, a: NaiveAgent, step: int) -> None:
-        dose_k = 1 if a.dose2_at == NEVER else 2
+        policy = self.iv.vaccination
+        if a.dose2_at == NEVER:
+            dose_k, prob = 1, policy.dose1_efficacy
+        elif a.dose1_at + policy.dose1_latency > a.dose2_at:   # dose 1's pending
+            dose_k, prob = 2, policy.dose2_efficacy
+        else:
+            dose_k, prob = 2, policy.dose2_topup_prob()
         u = uniform(self.seed, step, Purpose.VACCINE_IMMUNITY, a.agent_id, k=dose_k)
-        if u < a.immunity_check_prob and a.stage == int(Stage.SUSCEPTIBLE):
+        if u < prob and a.stage == int(Stage.SUSCEPTIBLE):
             a.immune = True
             if self._sterilizing:
                 a.stage = int(Stage.VACCINATED)
-        a.immunity_check_at = NEVER
-        a.immunity_check_prob = 0.0
 
     # -- views -------------------------------------------------------------
 

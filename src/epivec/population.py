@@ -43,16 +43,11 @@ class HouseholdSizes(Config):
 
     PATH = "population.household_size_distribution"
 
-    sizes: np.ndarray = setting(int, lo=1, size=...)
+    sizes: np.ndarray = setting(int, lo=1, hi=MAX_HOUSEHOLD_SIZE, size=...)
     probabilities: np.ndarray = setting(float, lo=0, size=...)
 
     def __post_init__(self):
         super().__post_init__()
-        too_big = np.flatnonzero(self.sizes > MAX_HOUSEHOLD_SIZE)
-        if len(too_big):
-            raise ConfigError(
-                f"{self.PATH}.sizes[{too_big[0]}]: expected a size of at most "
-                f"{MAX_HOUSEHOLD_SIZE}, got {self.sizes[too_big[0]]}")
         if len(self.probabilities) != len(self.sizes):
             raise ConfigError(f"{self.PATH}.probabilities: expected {len(self.sizes)} "
                               f"entries, got {len(self.probabilities)}")
@@ -76,7 +71,7 @@ class PopulationSpec(Config):
     ``setting``, in this class or the sub-object it belongs to.
 
     ``n_agents`` has no upper bound beyond the int32 agent ids: every
-    per-agent cost is linear in it (70 bytes of agent columns, plus each
+    per-agent cost is linear in it (48 bytes of agent columns, plus each
     step's edges), so the machine's memory bounds it long before the ids do.
     """
 

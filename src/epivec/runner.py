@@ -177,6 +177,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
     Results are identical for any worker count: each replication depends only
     on (base_seed, index).
     """
+    if out_dir is not None:   # a path that cannot be a directory fails before any run
+        out_dir = output_dir(out_dir)
     run = partial(run_replication, config)
     indices = range(config.replications)
     if workers > 1 and len(indices) > 1:
@@ -186,11 +188,20 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
     else:
         results = list(map(run, indices))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for r in results:
             (out_dir / f"run_{r.replication:03d}.csv").write_text(r.to_csv())
     return results
+
+
+def output_dir(path: str | Path) -> Path:
+    """``path`` made a directory, parents too; a ConfigError naming it if it
+    cannot be one (a file is in the way)."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{path}: not usable as an output directory: {e.strerror}") from e
+    return path
 
 
 # -- summaries --------------------------------------------------------------

@@ -8,16 +8,17 @@ the oracle's per-agent records and the engine/oracle comparison of
 
 Step indices use -1 (NEVER) as the "not scheduled / never happened" sentinel.
 An agent is quarantined at step t iff quarantine_until > t.  A test is
-pending iff test_result_at != NEVER.  Pending vaccine-immunity realizations
-carry the probability decided at scheduling time (first dose: configured
-efficacy; second dose: the top-up that lifts the marginal to the second-dose
-efficacy).
+pending iff test_result_at != NEVER.
 
 No column stores what other columns determine.  An agent has had dose k iff
-dose<k>_at != NEVER; a due immunity check belongs to dose 2 iff dose2_at !=
-NEVER, as a second dose replaces a pending first-dose check; an agent
-quarantined at step t may drop out iff its quarantine began before t, that is
-iff quarantine_until < t + the quarantine duration.  Under sterilizing
+dose<k>_at != NEVER.  Dose k's immunity check falls due dose<k>_latency steps
+after it; a second dose replaces a pending first-dose check, so a due check
+is dose 2's iff dose2_at != NEVER.  It succeeds with the first-dose efficacy,
+or for dose 2 with the second-dose efficacy if dose 1's check was pending
+(dose1_at + dose1_latency > dose2_at), else with the top-up that lifts the
+marginal to it; on an agent already immune it changes nothing.  An agent
+quarantined at step t may drop out iff its quarantine began before t, that
+is iff quarantine_until < t + the quarantine duration.  Under sterilizing
 immunity an immune agent is vaccinated, a stage it never leaves, so the
 transmission target is exactly the susceptible stage.
 """
@@ -54,9 +55,6 @@ class AgentColumns:
     dose1_at: np.ndarray = _column(np.int32, NEVER)     # step
     dose2_at: np.ndarray = _column(np.int32, NEVER)     # step
     immune: np.ndarray = _column(bool, False)           # vaccine immunity realized
-    immunity_check_at: np.ndarray = _column(np.int32, NEVER)  # step
-    immunity_check_prob: np.ndarray = _column(np.float64)  # for the pending check
-    test_sample_at: np.ndarray = _column(np.int32, NEVER)  # step
     test_result_at: np.ndarray = _column(np.int32, NEVER)  # step; pending while set
     test_positive: np.ndarray = _column(bool, False)    # outcome decided at sampling
     den_test_due_at: np.ndarray = _column(np.int32, NEVER)  # step

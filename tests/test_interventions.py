@@ -322,11 +322,13 @@ class TestExposureNotification:
         cols.next_transition_at[0] = 4
         engine = Engine(cols, flat_disease(0.0), simple_table(),
                         den_intervention(), seed=0)
-        for step in range(8):
+        for step in range(7):
             graph = pair_graph(step, 0, 1) if step == 2 else empty_graph(step)
-            engine.step(graph)
-        # positive delivered at 5, notification at 5, follow-up sampled at 6
-        assert cols.test_sample_at[1] == 6
+            ev = engine.step(graph)
+        # positive delivered at 5, notification at 5, follow-up sampled at 6,
+        # its result due a turnaround (1) later
+        assert ev.tests_administered == 1
+        assert cols.test_result_at[1] == 7
 
     def test_contact_log_eviction(self):
         log = ContactLog(lookback=3, has_app=np.ones(2, dtype=bool))
@@ -498,18 +500,37 @@ class TestVaccination:
 
     def test_dose2_before_dose1_latency_supersedes_pending_check(self):
         # gap (3) shorter than the first-dose latency (12): the second dose
-        # cancels the pending check and rolls immunity at full second-dose
-        # efficacy immediately
-        cols = blank_state(4)
-        iv = self.vax_config(daily_rate=1.0, dose_gap=3, dose1_latency=12,
-                             dose1_efficacy=0.0, dose2_efficacy=1.0)
-        engine = Engine(cols, flat_disease(0.0), simple_table(), iv, seed=2)
-        for step in range(5):
+        # replaces the pending check and rolls immunity once, at the
+        # second-dose efficacy, at once; the dose-1 check (efficacy 1) due at
+        # step 12 fires with neither probability
+        n = 200
+        u = uniforms(2, 3, Purpose.VACCINE_IMMUNITY, np.arange(n), k=2)
+        for dose2_efficacy in (0.0, 0.5):
+            cols = blank_state(n)
+            iv = self.vax_config(daily_rate=1.0, dose_gap=3, dose1_latency=12,
+                                 dose1_efficacy=1.0, dose2_efficacy=dose2_efficacy)
+            engine = Engine(cols, flat_disease(0.0), simple_table(), iv, seed=2)
+            for step in range(16):
+                engine.step(empty_graph(step))
+            assert np.all(cols.dose1_at == 0)
+            assert np.all(cols.dose2_at == 3)
+            assert np.array_equal(cols.immune, u < dose2_efficacy)
+            assert np.array_equal(cols.stage == int(Stage.VACCINATED), cols.immune)
+
+    def test_no_check_before_any_dose(self):
+        # open campaign, no dose a day: at step latency - 1, step - latency is
+        # NEVER, the dose time of every undosed agent, yet no check is due
+        latency = 12
+        cols = blank_state(10)
+        iv = self.vax_config(daily_rate=0.0, dose1_latency=latency,
+                             dose1_efficacy=1.0)
+        engine = Engine(cols, flat_disease(0.0), simple_table(), iv, seed=0)
+        for step in range(latency):
             engine.step(empty_graph(step))
-        assert np.all(cols.dose2_at == 3)
-        assert np.all(cols.immune)          # e2=1.0 despite e1=0
-        assert np.all(cols.immunity_check_at == NEVER)
-        assert np.all(cols.stage == int(Stage.VACCINATED))
+        assert engine.vaccination_open
+        assert np.all(cols.dose1_at == NEVER)
+        assert not np.any(cols.immune)
+        assert np.all(cols.stage == int(Stage.SUSCEPTIBLE))
 
     def test_non_sterilizing_forces_asymptomatic_course(self):
         n = 30

@@ -79,8 +79,8 @@ class TestValidation:
 
     def test_household_size_bounded(self):
         hh = {"sizes": [2, MAX_HOUSEHOLD_SIZE + 1], "probabilities": [0.5, 0.5]}
-        with pytest.raises(ConfigError, match=r"sizes\[1\]: expected a size of at "
-                                              f"most {MAX_HOUSEHOLD_SIZE},"):
+        with pytest.raises(ConfigError, match=r"sizes\[1\]: expected a value in "
+                                              rf"\[1, {MAX_HOUSEHOLD_SIZE}\],"):
             spec_with(10, household_size_distribution=hh)
         hh["sizes"][1] = MAX_HOUSEHOLD_SIZE
         spec = spec_with(10, household_size_distribution=hh)

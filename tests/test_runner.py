@@ -293,7 +293,7 @@ class TestScenarioLoading:
         ({"population": {"household_size_distribution": {
             "sizes": [1, 10**6], "probabilities": [0.5, 0.5]}}},
          "population.household_size_distribution.sizes[1]",
-         "a size of at most 1000"),
+         re.escape("a value in [1, 1000]")),
         ({"name": None}, "name", "a string"),
         ({"name": 5}, "name", "a string"),
         ({"interventions": {"vaccination": {"strategy": "x"}}},
@@ -885,6 +885,27 @@ class TestCli:
                   "compare": ["--scenarios", str(scenario)]}[command]
         assert main([command, *source, "--out", str(out)]) == 0
         assert out.read_text()
+
+    @pytest.mark.parametrize("command", ["simulate", "summarize", "compare"])
+    def test_out_where_a_file_is_exits_1_before_any_run(self, tmp_path, capsys,
+                                                        monkeypatch, command):
+        scenario = self.write_scenario(tmp_path)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "run_000.csv").write_text(GOOD_RUN)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        ran = []
+        monkeypatch.setattr(runner, "run_replication",
+                            lambda config, index: ran.append(index))
+        argv = {"simulate": ["--scenario", str(scenario), "--out", str(afile)],
+                "summarize": ["--in", str(runs), "--out", str(afile / "x.csv")],
+                "compare": ["--scenarios", str(scenario),
+                            "--out", str(afile / "x.csv")]}[command]
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {afile}: ")
+        assert ran == []
+        assert afile.read_text() == ""
 
     def test_verify_rejects_large_population(self, tmp_path, capsys):
         scenario = self.write_scenario(tmp_path, n=3000)

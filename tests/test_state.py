@@ -29,9 +29,6 @@ def explicit_allocate(n):
         dose1_at=np.full(n, NEVER, dtype=np.int32),
         dose2_at=np.full(n, NEVER, dtype=np.int32),
         immune=np.zeros(n, dtype=bool),
-        immunity_check_at=np.full(n, NEVER, dtype=np.int32),
-        immunity_check_prob=np.zeros(n, dtype=np.float64),
-        test_sample_at=np.full(n, NEVER, dtype=np.int32),
         test_result_at=np.full(n, NEVER, dtype=np.int32),
         test_positive=np.zeros(n, dtype=bool),
         den_test_due_at=np.full(n, NEVER, dtype=np.int32),
