@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, InvariantViolation, VerificationDivergence
 from .runner import (QUARTILES, bench, csv_text, load_results, output_dir,
                      run_scenario, summarize, summary_to_csv, summary_to_long_csv,
-                     verify_equivalence)
+                     verify_equivalence, write_file)
 from .scenario import default_scenario, load_scenario
 
 
@@ -100,9 +100,9 @@ def _cmd_summarize(args) -> int:
     output_dir(out.parent)
     results = load_results(args.run_dir)
     summary = summarize(results)
-    out.write_text(summary_to_csv(summary))
+    write_file(out, summary_to_csv(summary))
     long_path = out.with_name(out.stem + "_long" + out.suffix)
-    long_path.write_text(summary_to_long_csv(summary))
+    write_file(long_path, summary_to_long_csv(summary))
     print(f"{len(results)} replications summarized -> {out}, {long_path}")
     return 0
 
@@ -141,7 +141,7 @@ def _cmd_compare(args) -> int:
     if args.out:
         header = ["scenario"] + [f"{metric}_q{q}" for metric in ("infections", "deaths")
                                  for q in QUARTILES]
-        Path(args.out).write_text(csv_text([], header, (
+        write_file(args.out, csv_text([], header, (
             [name, *infections.tolist(), *deaths.tolist()]
             for name, infections, deaths in rows)))
     return 0

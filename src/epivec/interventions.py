@@ -38,10 +38,9 @@ class TestKind:
                               f"{MAX_STEP_OFFSET} steps")
 
     def turnaround(self, u):
-        """Uniform integer turnaround from keyed draws, scalar or array."""
+        """Uniform integer turnarounds from keyed draws, elementwise over ``u``."""
         span = self.turnaround_max - self.turnaround_min + 1
-        t = self.turnaround_min + (np.asarray(u) * span).astype(np.int64)
-        return int(t) if t.ndim == 0 else t
+        return self.turnaround_min + (np.asarray(u) * span).astype(np.int64)
 
 
 TEST_KINDS = {

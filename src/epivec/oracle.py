@@ -4,9 +4,11 @@ Agents are plain records and every rule runs as an explicit Python loop over
 agents and edges.  Used to cross-check the vectorized engine: the oracle
 consumes the same keyed draws as the engine (one aggregate infection draw per
 agent), so trajectories must match bit for bit.  It shares draws and tables
-with the engine, not algorithms: a stage entry is its own ``_enter``, vaccine
-doses go out in an order it sorts itself, from the priority rule written out
-as a tuple, and it counts each step's events in its own loops.
+with the engine, not algorithms: a stage entry is its own ``_enter``, a branch
+is picked by walking the table's edges with a running sum of their
+probabilities (``_branch``), vaccine doses go out in an order it sorts itself,
+from the priority rule written out as a tuple, and it counts each step's
+events in its own loops.
 
 No performance work here on purpose: the loops are the point.  The records
 are typed by hand: a new agent column is declared in ``AgentColumns``
@@ -23,7 +25,7 @@ from .engine import StepEvents
 from .errors import InvariantViolation
 from .graphs import StepGraph
 from .interventions import InterventionConfig, Strategy
-from .progression import ProgressionTable
+from .progression import Edge, ProgressionTable, round_delay
 from .rng import Purpose, uniform
 from .stages import (ACTIVE_INFECTION_STAGE, ASYMPTOMATIC_LIKE_STAGE,
                      INFECTIOUS_STAGE, NEVER, Stage)
@@ -153,7 +155,7 @@ class OracleSim:
         for i in infected:
             a = self.agents[i]
             u_entry = uniform(self.seed, step, Purpose.ENTRY_STAGE, i)
-            entry = self.table.entry_stage(a.age_band, u_entry)
+            entry = self._branch(Stage.SUSCEPTIBLE, a.age_band, u_entry).to
             if a.immune:
                 entry = Stage.ASYMPTOMATIC
             a.infected_at = step
@@ -178,10 +180,21 @@ class OracleSim:
         if stage not in (int(Stage.RECOVERED), int(Stage.DEAD)):
             u_b = uniform(self.seed, step, Purpose.PROGRESSION_BRANCH, a.agent_id)
             u_d = uniform(self.seed, step, Purpose.PROGRESSION_DELAY, a.agent_id)
-            nxt, delay = self.table.schedule_transition(Stage(stage), a.age_band,
-                                                        u_b, u_d)
-            at = step + delay
-        a.next_stage, a.next_transition_at = int(nxt), at
+            edge = self._branch(stage, a.age_band, u_b)
+            nxt = int(edge.to)
+            at = step + int(round_delay(edge.duration.quantile(u_d)))
+        a.next_stage, a.next_transition_at = nxt, at
+
+    def _branch(self, stage: int, age_band: int, u: float) -> Edge:
+        """The edge out of ``stage`` that draw ``u`` takes: the first whose
+        running sum of branch probabilities exceeds ``u``, else the last."""
+        out = [e for e in self.table.edges if e.from_ == stage]
+        total = 0.0
+        for edge in out:
+            total += edge.probability[age_band]
+            if u < total:
+                return edge
+        return out[-1]
 
     def _test_sampling(self, newly_symptomatic: list[int], step: int) -> int:
         """Sample the due tests; return how many were taken."""
@@ -202,7 +215,7 @@ class OracleSim:
             else:
                 positive = u_pos < self.iv.testing.false_positive_prob
             u_turn = uniform(self.seed, step, Purpose.TEST_TURNAROUND, i)
-            a.test_result_at = step + kind.turnaround(u_turn)
+            a.test_result_at = step + int(kind.turnaround(u_turn))
             a.test_positive = bool(positive)
         return tests
 

@@ -29,6 +29,10 @@ _DIST_TOL = 1e-9
 # built before step 0 and kept for the run: a size of 10^5 alone would ask
 # for 5*10^9 pairs.  1,000 members is 499,500 pairs (4 MB of int32 pairs).
 MAX_HOUSEHOLD_SIZE = 1000
+# Every step shuffles and pairs about mean degree x agents random-network
+# stubs: a mean of 1,000 is already 10^8 stubs a step at 100K agents, and one
+# of 10^30 stubs per agent does not fit the int64 stub counts.
+MAX_RANDOM_DEGREE = 1000
 
 
 def _check_sum(p: np.ndarray, path: str) -> None:
@@ -85,7 +89,8 @@ class PopulationSpec(Config):
     # the age bands that can be employed
     occupation_eligible_age_bands: np.ndarray = setting(int, lo=0, hi=N_AGE_BANDS - 1,
                                                         size=...)
-    random_degree_by_age: np.ndarray = setting(float, lo=0, size=N_AGE_BANDS)  # means
+    random_degree_by_age: np.ndarray = setting(float, lo=0, hi=MAX_RANDOM_DEGREE,
+                                               size=N_AGE_BANDS)  # means
     networks: Networks = setting(Networks, Networks)
 
     def __post_init__(self):

@@ -6,8 +6,11 @@ out of a stage sum to one per age band.  Durations are continuous days,
 rounded to whole steps with a floor of one step.
 
 Branch and duration draws are quantile transforms of keyed uniforms, so the
-engine (array calls) and the oracle (scalar calls) sample identical values
-from identical keys.  A duration's quantile calls the ``scipy.special``
+engine and the oracle sample identical values from identical keys.  The
+table keeps its edges grouped by source stage with each stage's cumulative
+branch probabilities, and picks every agent's edge in one array pass; the
+oracle walks ``edges`` itself and calls each edge's quantile on its own
+draw.  A duration's quantile calls the ``scipy.special``
 kernel that scipy's ``stats`` distributions end in, with constants derived
 once per spec: ``gammaincinv(shape, u) * scale`` for a gamma and
 ``exp(sigma * ndtri(u)) * exp(mu)`` for a lognormal, byte-identical to
@@ -31,7 +34,8 @@ from scipy import special
 from . import rng as keyed
 from .errors import Config, ConfigError, Setting, checked, positive, setting
 from .rng import Purpose
-from .stages import MAX_STEP_OFFSET, NEVER, N_AGE_BANDS, Stage, STAGE_BY_NAME
+from .stages import (MAX_STEP_OFFSET, NEVER, N_AGE_BANDS, N_STAGES, Stage,
+                     STAGE_BY_NAME)
 from .state import AgentColumns
 from .transmission import gamma_shape_scale
 
@@ -116,7 +120,7 @@ class DurationSpec:
                               f"got {longest!r} from {params!r}")
 
     def quantile(self, u):
-        """Inverse CDF; u may be a scalar or an array.  Byte-identical to
+        """Inverse CDF, elementwise over ``u``.  Byte-identical to
         ``stats.gamma.ppf(u, shape, scale=scale)`` and ``stats.lognorm.ppf(u,
         sigma, scale=exp(mu))``, whose wrappers end in these kernels."""
         if self.family == "gamma":
@@ -126,8 +130,7 @@ class DurationSpec:
             sigma, exp_mu = self.kernel
             return np.exp(sigma * special.ndtri(u)) * exp_mu
         days = self.params[0]   # constant
-        return np.full_like(np.asarray(u, dtype=np.float64), days) \
-            if np.ndim(u) else float(days)
+        return np.full_like(np.asarray(u, dtype=np.float64), days)
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "DurationSpec":
@@ -147,15 +150,6 @@ def round_delay(days):
     return np.maximum(np.rint(days), 1.0)
 
 
-@dataclass
-class StageRule:
-    """Outgoing branches of one stage: targets, per-age cumulative probs, durations."""
-
-    targets: list[Stage]
-    cum_probs: np.ndarray            # (N_AGE_BANDS, n_targets), rows end at 1.0
-    durations: list[DurationSpec | None]
-
-
 @dataclass(frozen=True)
 class Edge(Config):
     """One transition: its branch probability per age band and, unless it is
@@ -172,13 +166,23 @@ class Edge(Config):
 @dataclass(eq=False)
 class ProgressionTable(Config):
     """Validated transition table; raises ConfigError with the offending path.
-    The schema checks each edge; the rules across edges are checked here."""
+    The schema checks each edge; the rules across edges are checked here.
+
+    The edges are kept grouped by source stage, in file order within a stage:
+    edge ``i`` goes to ``to[i]`` after ``durations[i]``, and stage ``s`` owns
+    edges ``first[s]`` to ``first[s] + count[s] - 1``.  ``cum_probs[s, band]``
+    holds their cumulative branch probabilities, padded with ``inf``, which
+    no draw reaches.  An absorbing stage has ``first`` and ``count`` 0."""
 
     PATH = "progression"
     NOTES = ("schema_version", "comment")
 
     edges: list[Edge] = setting(Edge, size=...)
-    rules: dict[Stage, StageRule] = field(init=False, repr=False)
+    to: np.ndarray = field(init=False, repr=False)
+    durations: list[DurationSpec | None] = field(init=False, repr=False)
+    first: np.ndarray = field(init=False, repr=False)
+    count: np.ndarray = field(init=False, repr=False)
+    cum_probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -195,7 +199,11 @@ class ProgressionTable(Config):
                     "entry branches take effect at infection and cannot carry a duration"))
             by_stage.setdefault(src, []).append(edge)
 
-        self.rules = {}
+        self.first = np.zeros(N_STAGES, dtype=np.int64)
+        self.count = np.zeros(N_STAGES, dtype=np.int64)
+        widest = max(map(len, LEGAL_EDGES.values()))
+        self.cum_probs = np.full((N_STAGES, N_AGE_BANDS, widest), np.inf)
+        grouped: list[Edge] = []
         for src, edges in by_stage.items():
             probs = np.stack([e.probability for e in edges], axis=1)  # (bands, n)
             sums = probs.sum(axis=1)
@@ -204,70 +212,42 @@ class ProgressionTable(Config):
                 raise ConfigError(
                     f"{self.PATH}.edges: branch probabilities out of {src!s} sum "
                     f"to {sums[bad[0]]:.12g} for age band {int(bad[0])}; must sum to 1")
-            self.rules[src] = StageRule([e.to for e in edges], np.cumsum(probs, axis=1),
-                                        [e.duration for e in edges])
+            self.first[src], self.count[src] = len(grouped), len(edges)
+            self.cum_probs[src, :, :len(edges)] = np.cumsum(probs, axis=1)
+            grouped += edges
         for required in LEGAL_EDGES:
-            if required not in self.rules:
+            if not self.count[required]:
                 raise ConfigError(f"{self.PATH}.edges: no edges out of {required!s}")
+        self.to = np.array([e.to for e in grouped], dtype=np.int8)
+        self.durations = [e.duration for e in grouped]
 
-    def entry_stage(self, age_band: int, u: float) -> Stage:
-        """Initial infected stage for one agent (oracle path)."""
-        rule = self.rules[Stage.SUSCEPTIBLE]
-        j = int(np.searchsorted(rule.cum_probs[age_band], u, side="right"))
-        j = min(j, len(rule.targets) - 1)
-        return rule.targets[j]
+    def _branches(self, stages, age_bands: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Each agent's edge out of its stage: the first whose cumulative
+        probability exceeds ``u``, else the last (a band's sum may round a
+        hair below 1); out of an absorbing stage, 0 + min(0, -1) = -1."""
+        j = (u[:, None] >= self.cum_probs[stages, age_bands]).sum(axis=1)
+        return self.first[stages] + np.minimum(j, self.count[stages] - 1)
 
     def entry_stages(self, age_bands: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Initial infected stages, vectorized (engine path)."""
-        rule = self.rules[Stage.SUSCEPTIBLE]
-        return self._pick(rule, age_bands, u)
-
-    @staticmethod
-    def _pick(rule: StageRule, age_bands: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cum = rule.cum_probs[age_bands]                      # (m, n_targets)
-        j = (u[:, None] >= cum).sum(axis=1)                  # == searchsorted right
-        j = np.minimum(j, len(rule.targets) - 1)
-        targets = np.array([int(t) for t in rule.targets], dtype=np.int8)
-        return targets[j]
-
-    def schedule_transition(self, stage: Stage, age_band: int,
-                            u_branch: float, u_delay: float) -> tuple[Stage, int]:
-        """Sample (next_stage, delay_steps) for one agent out of ``stage``."""
-        if stage not in self.rules:
-            raise ValueError(f"stage {stage!s} is absorbing; nothing to schedule")
-        rule = self.rules[stage]
-        j = int(np.searchsorted(rule.cum_probs[age_band], u_branch, side="right"))
-        j = min(j, len(rule.targets) - 1)
-        target = rule.targets[j]
-        delay = int(round_delay(rule.durations[j].quantile(u_delay)))
-        return target, delay
+        """The stage each newly infected agent enters, from its entry draw."""
+        return self.to[self._branches(int(Stage.SUSCEPTIBLE), age_bands, u)]
 
     def schedule_transitions(self, stages: np.ndarray, age_bands: np.ndarray,
                              u_branch: np.ndarray, u_delay: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized scheduling for a batch of agents (engine path).
+        """Where each agent goes next out of ``stages`` and after how many steps.
 
         Agents in absorbing stages get (NEVER, NEVER) back: ``enter`` relies on
         it to leave recovered and dead agents with no next transition.
+        Susceptible agents do too: their entry branches carry no duration.
         """
-        n = len(stages)
-        next_stage = np.full(n, NEVER, dtype=np.int8)
-        delay = np.full(n, NEVER, dtype=np.int64)
-        for s, rule in self.rules.items():
-            if s == Stage.SUSCEPTIBLE:
-                continue
-            mask = stages == int(s)
-            if not mask.any():
-                continue
-            idx = np.nonzero(mask)[0]
-            picks = self._pick(rule, age_bands[idx], u_branch[idx])
-            next_stage[idx] = picks
-            for j, spec in enumerate(rule.durations):
-                sel = idx[picks == int(rule.targets[j])]
-                if len(sel):
-                    d = round_delay(spec.quantile(u_delay[sel]))
-                    delay[sel] = d.astype(np.int64)
-        return next_stage, delay
+        edge = self._branches(stages, age_bands, u_branch)
+        delay = np.full(len(stages), NEVER, dtype=np.int64)
+        for i, spec in enumerate(self.durations):
+            sel = edge == i
+            if spec is not None and sel.any():
+                delay[sel] = round_delay(spec.quantile(u_delay[sel]))
+        return np.where(delay == NEVER, NEVER, self.to[edge]), delay
 
     def enter(self, cols: AgentColumns, ids: np.ndarray, stages: np.ndarray,
               seed: int, step: int) -> None:

@@ -189,7 +189,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
         results = list(map(run, indices))
     if out_dir is not None:
         for r in results:
-            (out_dir / f"run_{r.replication:03d}.csv").write_text(r.to_csv())
+            write_file(out_dir / f"run_{r.replication:03d}.csv", r.to_csv())
     return results
 
 
@@ -202,6 +202,15 @@ def output_dir(path: str | Path) -> Path:
     except OSError as e:
         raise ConfigError(f"{path}: not usable as an output directory: {e.strerror}") from e
     return path
+
+
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; a ConfigError naming it if it cannot be
+    written (a directory is in the way)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ConfigError(f"{path}: not usable as an output file: {e.strerror}") from e
 
 
 # -- summaries --------------------------------------------------------------

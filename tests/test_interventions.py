@@ -159,10 +159,9 @@ class TestTestKinds:
         freq = np.bincount(samples, minlength=6)[3:6] / len(samples)
         assert np.all(np.abs(freq - 1 / 3) < 0.01)
         assert samples.min() == 3 and samples.max() == 5
-        # the engine's array call and the oracle's scalar calls agree
+        # the engine's array call and the oracle's calls on one draw agree
         for each in TEST_KINDS.values():
-            scalar = [each.turnaround(float(x)) for x in u[:2000]]
-            assert all(type(t) is int for t in scalar)
+            scalar = [int(each.turnaround(float(x))) for x in u[:2000]]
             assert np.array_equal(each.turnaround(u[:2000]), scalar)
 
     def test_fixed_turnarounds(self):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from epivec.errors import ConfigError
-from epivec.population import (MAX_HOUSEHOLD_SIZE, PopulationSpec,
-                               seed_infections, synthesize)
+from epivec.population import (MAX_HOUSEHOLD_SIZE, MAX_RANDOM_DEGREE,
+                               PopulationSpec, seed_infections, synthesize)
 from epivec.rng import Purpose, substream
 from epivec.scenario import default_population_dict, default_progression_dict
 from epivec.progression import ProgressionTable
@@ -85,6 +85,15 @@ class TestValidation:
         hh["sizes"][1] = MAX_HOUSEHOLD_SIZE
         spec = spec_with(10, household_size_distribution=hh)
         assert spec.household_size_distribution.sizes[1] == 1000
+
+    def test_random_degree_bounded(self):
+        """Refused at the spec, before any stub is counted or allocated."""
+        with pytest.raises(ConfigError, match=r"^population\.random_degree_by_age\[0\]: "
+                                              rf"expected a value in \[0, "
+                                              rf"{MAX_RANDOM_DEGREE}\], got 1e\+30$"):
+            spec_with(10, random_degree_by_age=[1e30] * 9)
+        spec = spec_with(10, random_degree_by_age=[MAX_RANDOM_DEGREE] * 9)
+        assert spec.random_degree_by_age.tolist() == [1000.0] * 9
 
     def test_missing_field_is_config_error(self):
         d = default_population_dict()

@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from epivec.errors import ConfigError
+from epivec.interventions import InterventionConfig
+from epivec.oracle import OracleSim
 from epivec.progression import (LEGAL_EDGES, DurationSpec, Edge, ProgressionTable,
                                 round_delay)
 from epivec.rng import Purpose, uniform, uniforms
@@ -18,7 +20,7 @@ from epivec.scenario import default_progression_dict
 from epivec.stages import MAX_STEP_OFFSET, NEVER, N_AGE_BANDS, Stage
 from epivec.state import AgentColumns
 
-from test_interventions import blank_state, simple_table
+from test_interventions import blank_state, flat_disease, simple_table
 
 
 def minimal_table(p_hosp_80plus=0.3, asymp_duration=None):
@@ -175,39 +177,50 @@ class TestValidation:
         rebuilt = ProgressionTable(edges=edges)
         assert [(e.from_, e.to) for e in rebuilt.edges] == [(e.from_, e.to)
                                                            for e in table.edges]
-        assert all(np.array_equal(rebuilt.rules[s].cum_probs, rule.cum_probs)
-                   for s, rule in table.rules.items())
+        for name in ("to", "first", "count", "cum_probs"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(table, name)), name
         with pytest.raises(ConfigError, match=r"^progression\.edges\[i\]\.to: expected "
                                               "one of"):
             Edge(from_="susceptible", to="asymptomatc", probability=[1.0] * 9)
 
 
+def schedule(table, stages, ages, u_branch, u_delay):
+    """``schedule_transitions`` over lists, back as two lists."""
+    nxt, delay = table.schedule_transitions(
+        np.asarray(stages, dtype=np.int8), np.asarray(ages, dtype=np.int8),
+        np.asarray(u_branch, dtype=np.float64), np.asarray(u_delay, dtype=np.float64))
+    return nxt.tolist(), delay.tolist()
+
+
+def walk(table):
+    """The oracle's own branch pick, ``OracleSim._branch``, over ``table``."""
+    return OracleSim([], flat_disease(), table, InterventionConfig(), seed=0)._branch
+
+
 class TestScheduling:
     def test_degenerate_constant_table(self):
-        table = minimal_table()
-        nxt, delay = table.schedule_transition(Stage.ASYMPTOMATIC, 3, 0.37, 0.91)
-        assert nxt == Stage.RECOVERED
-        assert delay == 7
+        assert schedule(minimal_table(), [Stage.ASYMPTOMATIC], [3], [0.37], [0.91]) \
+            == ([int(Stage.RECOVERED)], [7])
 
-    def test_absorbing_stage_refused(self):
-        table = minimal_table()
-        for stage in (Stage.DEAD, Stage.RECOVERED, Stage.VACCINATED):
-            with pytest.raises(ValueError, match="absorbing"):
-                table.schedule_transition(stage, 0, 0.5, 0.5)
+    def test_absorbing_stages_are_never_scheduled(self):
+        """Dead, recovered and vaccinated give (NEVER, NEVER)."""
+        absorbing = [Stage.DEAD, Stage.RECOVERED, Stage.VACCINATED]
+        assert schedule(minimal_table(), absorbing, [0, 4, 8], [0.5, 0.0, 0.99],
+                        [0.5, 0.0, 0.99]) == ([NEVER] * 3, [NEVER] * 3)
 
     def test_delay_at_least_one_step(self):
         table = minimal_table(asymp_duration={"family": "gamma",
                                               "mean": 0.3, "sd": 0.2})
-        for u in (0.001, 0.5, 0.999):
-            _, delay = table.schedule_transition(Stage.ASYMPTOMATIC, 0, 0.0, u)
-            assert delay >= 1
+        u = [0.001, 0.5, 0.999]
+        _, delay = schedule(table, [Stage.ASYMPTOMATIC] * 3, [0] * 3, [0.0] * 3, u)
+        assert min(delay) >= 1
 
     def test_round_delay_half_even(self):
         assert round_delay(1.5) == 2.0
         assert round_delay(2.5) == 2.0
         assert round_delay(0.2) == 1.0
 
-    def test_vectorized_matches_scalar(self):
+    def test_pick_matches_the_oracle_walk(self):
         table = minimal_table()
         rng = np.random.default_rng(0)
         stages = rng.choice([int(Stage.ASYMPTOMATIC), int(Stage.SEVERE_SYMPTOMATIC),
@@ -217,20 +230,21 @@ class TestScheduling:
         u_b = rng.random(400)
         u_d = rng.random(400)
         nxt_vec, delay_vec = table.schedule_transitions(stages, ages, u_b, u_d)
+        branch = walk(table)
         for i in range(400):
-            nxt, delay = table.schedule_transition(Stage(stages[i]), int(ages[i]),
-                                                   float(u_b[i]), float(u_d[i]))
-            assert nxt_vec[i] == int(nxt)
-            assert delay_vec[i] == delay
+            edge = branch(int(stages[i]), int(ages[i]), float(u_b[i]))
+            assert nxt_vec[i] == int(edge.to)
+            assert delay_vec[i] == int(round_delay(edge.duration.quantile(float(u_d[i]))))
 
-    def test_entry_stage_vector_matches_scalar(self):
+    def test_entry_stages_match_the_oracle_walk(self):
         table = minimal_table()
         rng = np.random.default_rng(1)
         ages = rng.integers(0, 9, size=300).astype(np.int8)
         u = rng.random(300)
         vec = table.entry_stages(ages, u)
+        branch = walk(table)
         for i in range(300):
-            assert vec[i] == int(table.entry_stage(int(ages[i]), float(u[i])))
+            assert vec[i] == int(branch(Stage.SUSCEPTIBLE, int(ages[i]), float(u[i])).to)
 
     def test_branch_frequency_monte_carlo(self):
         # configured P(severe -> hospitalized) = 0.3 for the 80+ band; the
@@ -253,12 +267,42 @@ class TestScheduling:
                       Stage.PRESYMPTOMATIC_SEVERE, Stage.MILD_SYMPTOMATIC,
                       Stage.SEVERE_SYMPTOMATIC, Stage.HOSPITALIZED,
                       Stage.CRITICAL_ICU):
-            for _ in range(50):
-                nxt, delay = table.schedule_transition(
-                    stage, int(rng.integers(0, 9)),
-                    float(rng.random()), float(rng.random()))
-                assert nxt in LEGAL_EDGES[stage]
-                assert delay >= 1
+            nxt, delay = schedule(table, [stage] * 50, rng.integers(0, 9, size=50),
+                                  rng.random(50), rng.random(50))
+            assert set(nxt) <= {int(t) for t in LEGAL_EDGES[stage]}
+            assert min(delay) >= 1
+
+
+class TestPickBoundaries:
+    """The two boundaries of the pick that keyed draws almost never land on,
+    each pinned against the oracle's walk."""
+
+    def test_a_band_summing_below_one_takes_the_last_edge_at_the_largest_draw(self):
+        """The packaged entry branches of age band 5 sum to 1 - 2**-53, the
+        largest keyed uniform, which no branch's sum then exceeds; the pick
+        clamps to the last."""
+        table = default_table()
+        assert table.cum_probs[Stage.SUSCEPTIBLE, 5, 2] == 0.9999999999999999
+        u = np.nextafter(1.0, 0.0)
+        assert u == 1 - 2**-53
+        last = int(table.edges[2].to)
+        assert table.entry_stages(np.array([5], dtype=np.int8), np.array([u])).tolist() \
+            == [last]
+        assert int(walk(table)(Stage.SUSCEPTIBLE, 5, u).to) == last
+
+    @pytest.mark.parametrize("band", range(N_AGE_BANDS))
+    def test_a_draw_on_an_interior_sum_takes_the_next_edge(self, band):
+        table = default_table()
+        branch = walk(table)
+        for k in (0, 1):   # the sums after entry branches 0 and 1
+            u = float(table.cum_probs[Stage.SUSCEPTIBLE, band, k])
+            entry = table.entry_stages(np.array([band], dtype=np.int8), np.array([u]))
+            assert entry.tolist() == [int(table.edges[k + 1].to)]
+            assert branch(Stage.SUSCEPTIBLE, band, u) is table.edges[k + 1]
+        u = float(table.cum_probs[Stage.SEVERE_SYMPTOMATIC, band, 0])
+        nxt, _ = schedule(table, [Stage.SEVERE_SYMPTOMATIC], [band], [u], [0.5])
+        assert nxt == [int(branch(Stage.SEVERE_SYMPTOMATIC, band, u).to)] \
+            == [int(Stage.RECOVERED)]
 
 
 def reference_quantile(spec: DurationSpec, u):
@@ -326,7 +370,7 @@ class TestQuantileKernels:
 
     def test_packaged_specs_match_scipy_stats_bytes(self):
         u = np.random.default_rng(5).random(10_000)
-        specs = [d for rule in default_table().rules.values() for d in rule.durations
+        specs = [d for d in default_table().durations
                  if d is not None and d.family != "constant"]
         assert {d.family for d in specs} == {"gamma", "lognormal"}
         for spec in specs:

@@ -346,6 +346,8 @@ class TestScenarioLoading:
         ({"population": {"n_agents": 0}}, "population.n_agents"),
         ({"population": {"random_degree_by_age": [2.0] * 8 + [-1]}},
          "population.random_degree_by_age[8]"),
+        ({"population": {"random_degree_by_age": [1e30] * 9}},
+         "population.random_degree_by_age[0]"),
         ({"population": {"occupation_eligible_age_bands": [2, 3, 12]}},
          "population.occupation_eligible_age_bands[2]"),
         ({"population": {"household_size_distribution": {
@@ -906,6 +908,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"configuration error: {afile}: ")
         assert ran == []
         assert afile.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "summarize", "compare"])
+    def test_out_file_where_a_directory_is_exits_1(self, tmp_path, capsys, command):
+        """The file each command writes is a directory: simulate's first run
+        CSV, or summarize's and compare's ``--out``."""
+        scenario = self.write_scenario(tmp_path, horizon=3)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "run_000.csv").write_text(GOOD_RUN)
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        out = {"simulate": ["--scenario", str(scenario), "--out", str(tmp_path)],
+               "summarize": ["--in", str(runs), "--out", str(adir)],
+               "compare": ["--scenarios", str(scenario), "--out", str(adir)]}[command]
+        blocked = tmp_path / "run_000.csv" if command == "simulate" else adir
+        blocked.mkdir(exist_ok=True)
+        assert main([command, *out]) == 1
+        assert capsys.readouterr().err == (f"configuration error: {blocked}: not "
+                                           "usable as an output file: Is a directory\n")
 
     def test_verify_rejects_large_population(self, tmp_path, capsys):
         scenario = self.write_scenario(tmp_path, n=3000)
