@@ -19,8 +19,9 @@ phase order (the reference oracle mirrors it exactly):
 7. bookkeeping: contact-log push, event counts, invariant checks, clock.
 
 Every phase runs one path for any number of agents: on an empty selection
-its array operations do nothing.  A branch on an empty set stays only where
-numpy needs it or where it skips a scan, and its comment says which.
+its array operations do nothing.  The README ("One path for any size") states
+that rule for the whole package and lists the six branches on an empty set
+that stay, each with the reason it does.
 
 Hazard accumulation reads each pair of a network block in both directions,
 visits only those from a live source into a susceptible target, and sums them
@@ -139,15 +140,15 @@ class Engine:
             if len(u) != len(v):
                 raise InvariantViolation(
                     f"graph block has {len(u)} and {len(v)} pair ends")
-            if len(u):   # max() of an empty block raises
-                # viewed as unsigned, a negative id reads as a huge one
-                if max(_unsigned(u).max(), _unsigned(v).max()) >= c.n_agents:
-                    ends = np.concatenate([u, v])
-                    bad = ends[(ends < 0) | (ends >= c.n_agents)][0]
-                    raise InvariantViolation(f"graph references agent {bad} outside "
-                                             f"[0, n_agents {c.n_agents})")
-                if np.any(u == v):
-                    raise InvariantViolation("graph contains a self-loop")
+            # viewed as unsigned, a negative id reads as a huge one
+            top = max(_unsigned(u).max(initial=0), _unsigned(v).max(initial=0))
+            if top >= c.n_agents:
+                ends = np.concatenate([u, v])
+                bad = ends[(ends < 0) | (ends >= c.n_agents)][0]
+                raise InvariantViolation(f"graph references agent {bad} outside "
+                                         f"[0, n_agents {c.n_agents})")
+            if np.any(u == v):
+                raise InvariantViolation("graph contains a self-loop")
         ev = StepEvents(step=step, n_edges=graph.n_edges)
 
         self._phase_transmission(graph, ev)

@@ -89,10 +89,6 @@ def watts_strogatz(n_nodes: int, k: int, beta: float,
         raise ValueError(f"need k < n_nodes, got k={k}, n={n_nodes}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"rewire probability must be in [0, 1], got {beta}")
-    if k == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-
     us, vs = _ring_lattice(np.arange(n_nodes, dtype=np.int64), k // 2)
     edge, node = _rewire(_segments([n_nodes], [k]), [rng], beta)
     vs[edge] = node
@@ -142,6 +138,7 @@ def _rewire(segments: tuple[np.ndarray, ...], rngs: list[np.random.Generator],
         pending, seg, u = pending[keep], seg[keep], u[keep]
         if not len(pending):
             break
+        # a segment draws only in rounds in which it has pending edges, as alone
         draw = np.concatenate([rngs[s].integers(0, high[s], size=c)
                                for s, c in enumerate(np.bincount(seg).tolist()) if c])
         base = node_offset[seg]
@@ -178,13 +175,12 @@ def stub_pairing(agents: np.ndarray, target_degrees: np.ndarray,
     keep = us != vs
     us, vs = us[keep], vs[keep]
     # drop duplicate undirected pairs, keeping each pair's first occurrence
-    if len(us):   # max() of an empty array raises
-        n = int(max(us.max(), vs.max())) + 1
-        key = np.minimum(us, vs).astype(np.int64)
-        key *= n
-        key += np.maximum(us, vs)
-        later = _later_repeats(key)
-        us, vs = np.delete(us, later), np.delete(vs, later)
+    n = int(max(us.max(initial=0), vs.max(initial=0))) + 1
+    key = np.minimum(us, vs).astype(np.int64)
+    key *= n
+    key += np.maximum(us, vs)
+    later = _later_repeats(key)
+    us, vs = np.delete(us, later), np.delete(vs, later)
     return us.astype(np.int32, copy=False), vs.astype(np.int32, copy=False)
 
 
@@ -194,7 +190,7 @@ def _later_repeats(key: np.ndarray) -> np.ndarray:
     only the positions holding one are stable-sorted."""
     sk = np.sort(key)
     repeated = sk[1:][sk[1:] == sk[:-1]]
-    if not len(repeated):
+    if not len(repeated):   # skips an isin and a stable sort
         return repeated
     at = np.flatnonzero(np.isin(key, repeated))
     at = at[np.argsort(key[at], kind="stable")]
@@ -256,7 +252,7 @@ class GraphRealizer:
                 self._occ_ids.append(int(j))
                 lives.append(live)
                 ks.append(k)
-        empty = np.empty(0, dtype=np.int32)   # for masks that leave no occupation graph
+        empty = np.empty(0, dtype=np.int32)   # concatenating no arrays raises
         lattices = [(empty, empty), *(_ring_lattice(live, k // 2)
                                       for live, k in zip(lives, ks))]
         self._occ_agent = np.concatenate([empty, *lives])

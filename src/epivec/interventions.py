@@ -11,6 +11,7 @@ return positive with ``false_positive_prob`` (0 by default).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, unique
 
@@ -164,20 +165,22 @@ def priority_sort_key(strategy: Strategy, elderly_band: int,
 
 
 class ContactLog:
-    """Ring buffer of the last ``lookback`` steps of interaction pair blocks.
+    """The interaction pair blocks of the last ``lookback`` steps, in a
+    ``deque`` whose ``maxlen`` drops the oldest step as a new one is pushed.
 
     Only pairs whose two ends hold the app (``has_app``, fixed for the run)
     are kept: no other pair can carry an exposure notification.  A block is
     filtered at ``u``, then at ``v`` of the survivors; an end that is the
     array object of the last block of its kind reuses its stage, since
     ``GraphRealizer`` shares the household block and the occupation ``u``,
-    read-only, across steps until someone dies.
+    read-only, across steps until someone dies.  ``contacts_of`` reads every
+    kept pair both ways, and an empty window gives no contacts.
     """
 
     def __init__(self, lookback: int, has_app: np.ndarray):
         self.lookback = lookback
         self.has_app = has_app
-        self._steps: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        self._steps: deque[list[tuple[np.ndarray, np.ndarray]]] = deque(maxlen=lookback)
         self._last = [(None,) * 4] * N_NETWORK_KINDS   # u, app positions in u, v, kept
 
     def _kept(self, kind: int, u: np.ndarray, v: np.ndarray):
@@ -193,8 +196,6 @@ class ContactLog:
     def push(self, graph: StepGraph) -> None:
         self._steps.append([self._kept(kind, u, v)
                             for kind, (u, v) in enumerate(graph.blocks)])
-        if len(self._steps) > self.lookback:
-            self._steps.pop(0)
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -206,9 +207,8 @@ class ContactLog:
         member[agents] = True
         hits = [other[member[end]] for blocks in self._steps for u, v in blocks
                 for end, other in ((u, v), (v, u))]
-        if not hits:
-            return np.empty(0, dtype=np.int32)
-        return np.unique(np.concatenate(hits)).astype(np.int32)
+        empty = np.empty(0, dtype=np.int32)   # concatenating no arrays raises
+        return np.unique(np.concatenate([empty, *hits])).astype(np.int32)
 
 
 @dataclass

@@ -124,11 +124,11 @@ def synthesize(spec: PopulationSpec, seed: int) -> AgentColumns:
     cols.household_id[rng.permutation(n)] = np.repeat(np.arange(k, dtype=np.int32),
                                                       sizes)
 
+    # everyone outside the eligible bands keeps the column's initial 0
     eligible = np.isin(cols.age_band, spec.occupation_eligible_age_bands.astype(np.int8))
-    if eligible.any():   # everyone else keeps the column's initial 0
-        cols.occupation[eligible] = rng.choice(np.arange(1, N_OCCUPATIONS + 1),
-                                               size=int(eligible.sum()),
-                                               p=spec.occupation_distribution)
+    cols.occupation[eligible] = rng.choice(np.arange(1, N_OCCUPATIONS + 1),
+                                           size=int(eligible.sum()),
+                                           p=spec.occupation_distribution)
 
     cols.random_degree[:] = spec.random_degree_by_age[cols.age_band]
     return cols

@@ -244,8 +244,8 @@ class ProgressionTable(Config):
         edge = self._branches(stages, age_bands, u_branch)
         delay = np.full(len(stages), NEVER, dtype=np.int64)
         for i, spec in enumerate(self.durations):
-            sel = edge == i
-            if spec is not None and sel.any():
+            if spec is not None:   # an entry branch schedules nothing
+                sel = edge == i
                 delay[sel] = round_delay(spec.quantile(u_delay[sel]))
         return np.where(delay == NEVER, NEVER, self.to[edge]), delay
 

@@ -96,7 +96,7 @@ def uniforms(seed: int, step: int, purpose: int, agents: np.ndarray,
     one value or one per agent.  No ids return at once, since hashing the key
     prefix alone costs tens of microseconds and the engine's phases call this
     on empty sets every step."""
-    if not len(agents):
+    if not len(agents):   # saves hashing the key prefix
         return np.empty(0, dtype=np.float64)
     h0 = key_prefix(seed, step, purpose)
     with np.errstate(over="ignore"):

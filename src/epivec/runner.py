@@ -14,6 +14,8 @@ metric.
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,11 +48,15 @@ QUARTILES = (25, 50, 75)
 
 def csv_text(meta_lines, header, rows) -> str:
     """Every output CSV: ``# `` comment lines, the header, one line per row.
-    Cells are ``str`` of Python scalars (rows from ``.tolist()``): integers
-    print as digits, floats as their shortest round-trip repr."""
-    lines = [f"# {m}" for m in meta_lines] + [",".join(header)]
-    lines += [",".join(map(str, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    Cells are Python scalars (rows from ``.tolist()``): integers print as
+    digits, floats as their shortest round-trip repr, and a cell is quoted
+    only when it holds a comma, a quote or a newline."""
+    buf = io.StringIO()
+    buf.writelines(f"# {m}\n" for m in meta_lines)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -177,8 +183,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
     Results are identical for any worker count: each replication depends only
     on (base_seed, index).
     """
-    if out_dir is not None:   # a path that cannot be a directory fails before any run
+    if out_dir is not None:   # an unusable output path fails before any run
         out_dir = output_dir(out_dir)
+        _check_run_files(out_dir, config.replications)
     run = partial(run_replication, config)
     indices = range(config.replications)
     if workers > 1 and len(indices) > 1:
@@ -191,6 +198,20 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
         for r in results:
             write_file(out_dir / f"run_{r.replication:03d}.csv", r.to_csv())
     return results
+
+
+def _check_run_files(out_dir: Path, replications: int) -> None:
+    """A ConfigError naming the first ``run_*.csv`` under ``out_dir`` that this
+    run would not overwrite (the file of no replication in
+    ``range(replications)``, which ``load_results`` would mix into the
+    summary) or cannot write (a directory)."""
+    names = {f"run_{i:03d}.csv" for i in range(replications)}
+    for path in sorted(out_dir.glob("run_*.csv")):
+        if path.name not in names:
+            raise ConfigError(f"{path}: a run file of no replication in "
+                              f"range({replications}); remove it or write elsewhere")
+        if path.is_dir():
+            raise ConfigError(f"{path}: not usable as an output file: Is a directory")
 
 
 def output_dir(path: str | Path) -> Path:

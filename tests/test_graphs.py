@@ -436,6 +436,8 @@ class TestStubPairing:
     @example(degrees=[4.0] * 6, stride=1, seed=0)   # 11 pairs, 3 of them repeats
     @example(degrees=[6.0] * 3, stride=1, seed=0)   # keys 0-1 and 0-2 thrice each,
                                                    # in both orientations
+    @example(degrees=[], stride=1, seed=0)         # no live agent
+    @example(degrees=[5.0], stride=1, seed=0)      # one agent: only self-pairs
     def test_dedupe_matches_unique_reference(self, degrees, stride, seed):
         agents = (np.arange(len(degrees)) * stride).astype(np.int32)
         targets = np.array(degrees)

@@ -330,11 +330,15 @@ class TestExposureNotification:
         assert cols.test_result_at[1] == 7
 
     def test_contact_log_eviction(self):
-        log = ContactLog(lookback=3, has_app=np.ones(2, dtype=bool))
-        for step in range(5):
-            g = pair_graph(step, 0, 1)
-            log.push(g)
-            assert len(log) == min(3, step + 1)
+        """Step ``s`` pairs agents ``s`` and ``s + 1``: the log holds the last
+        ``lookback`` steps' pairs and no older one, lookback 1 included."""
+        for lookback in (1, 3):
+            log = ContactLog(lookback=lookback, has_app=np.ones(6, dtype=bool))
+            for step in range(5):
+                log.push(pair_graph(step, step, step + 1))
+                assert len(log) == min(lookback, step + 1)
+                kept = range(max(0, step + 1 - lookback), step + 2)
+                assert log.contacts_of(np.arange(6)).tolist() == list(kept)
 
     def test_contacts_of_before_any_push_is_empty(self):
         log = ContactLog(lookback=3, has_app=np.ones(4, dtype=bool))

@@ -140,6 +140,15 @@ class TestSynthesize:
         assert np.all(cols.occupation[eligible] >= 1)
         assert np.all(cols.occupation[eligible] <= 23)
 
+    def test_no_eligible_band_leaves_every_occupation_0(self):
+        """The occupation draw is the last: no other column changes."""
+        cols = synthesize(spec_with(2000, occupation_eligible_age_bands=[]), seed=4)
+        ref = synthesize(spec_with(2000), seed=4)
+        assert not cols.occupation.any()
+        for f in fields(AgentColumns):
+            if f.name != "occupation":
+                assert getattr(cols, f.name).tobytes() == getattr(ref, f.name).tobytes()
+
     def test_random_degree_from_age_band(self):
         spec = spec_with(1000)
         cols = synthesize(spec, seed=5)

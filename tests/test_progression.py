@@ -474,6 +474,12 @@ class TestStageEntry:
         parent_progression(default_table(), ref, step, seed)
         assert_same_entries(cols, ref)
 
+    def test_enter_on_no_ids_changes_nothing(self):
+        cols, ref = blank_state(3), blank_state(3)
+        none = np.empty(0, dtype=np.int64)
+        default_table().enter(cols, none, none.astype(np.int8), seed=4, step=9)
+        assert_same_entries(cols, ref)
+
     def test_recovered_and_dead_have_no_next_transition(self):
         cols = blank_state(3)
         stages = np.array([Stage.RECOVERED, Stage.DEAD, Stage.ASYMPTOMATIC], dtype=np.int8)

@@ -1,6 +1,7 @@
 """Replication runner, CSV round-trips, quantile summaries, scenario key
 checks, CLI exit codes and flags."""
 
+import csv
 import io
 import json
 import os
@@ -151,10 +152,13 @@ def reference_summary_to_long_csv(summary: dict[str, np.ndarray]) -> str:
 
 
 def reference_compare_csv(rows) -> str:
-    """The file half of ``epivec compare``: rows of (name, infections, deaths)."""
+    """The file half of ``epivec compare``: rows of (name, infections, deaths);
+    a name holding a comma, a quote or a newline is quoted, its quotes doubled."""
     lines = ["scenario,infections_q25,infections_q50,infections_q75,"
              "deaths_q25,deaths_q50,deaths_q75"]
     for name, infections, deaths in rows:
+        if any(c in name for c in ',"\n'):
+            name = '"' + name.replace('"', '""') + '"'
         lines.append(",".join([name]
                               + [repr(float(v)) for v in infections]
                               + [repr(float(v)) for v in deaths]))
@@ -556,13 +560,16 @@ class TestCsvRoundTrip:
         assert summary_to_long_csv(summary) == reference_summary_to_long_csv(summary)
 
     @given(rows=st.lists(st.tuples(
-        st.from_regex(r"[a-z][a-z0-9_ ]{0,11}", fullmatch=True),
+        st.text(alphabet='az09_ ,"\n', max_size=12),
         arrays(np.float64, 3, elements=quartile_floats),
         arrays(np.float64, 3, elements=quartile_floats)), min_size=1, max_size=4))
     @example(rows=[("s", np.array([-0.0, 1e16, 5e-324]), np.array([0.1 + 0.2] * 3))])
+    @example(rows=[(name, np.zeros(3), np.ones(3))
+                   for name in ("a,b", 'say "hi"', "two\nlines", "")])
     @settings(max_examples=50, deadline=None)
     def test_compare_file_matches_reference(self, tmp_path_factory, rows):
-        """``epivec compare`` with scenario loading and running stubbed out."""
+        """``epivec compare`` with scenario loading and running stubbed out;
+        ``csv`` reads back every name, each row as wide as the header."""
         by_path = {f"s{i}.json": row for i, row in enumerate(rows)}
         out = tmp_path_factory.mktemp("compare") / "cmp.csv"
         with pytest.MonkeyPatch.context() as mp:
@@ -573,7 +580,11 @@ class TestCsvRoundTrip:
                 "cumulative_infections": by_path[path][1][None],
                 "cumulative_deaths": by_path[path][2][None]})
             assert main(["compare", "--scenarios", *by_path, "--out", str(out)]) == 0
-        assert out.read_text() == reference_compare_csv(rows)
+        text = out.read_text()
+        assert text == reference_compare_csv(rows)
+        header, *read = csv.reader(io.StringIO(text))
+        assert [len(row) for row in read] == [len(header)] * len(rows)
+        assert [row[0] for row in read] == [name for name, _, _ in rows]
 
     def test_stage_counts_sum_to_population(self):
         config = tiny_scenario(n=250, replications=1)
@@ -927,6 +938,34 @@ class TestCli:
         assert main([command, *out]) == 1
         assert capsys.readouterr().err == (f"configuration error: {blocked}: not "
                                            "usable as an output file: Is a directory\n")
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["a directory", "stale index"])
+    def test_run_file_it_cannot_keep_exits_1_before_any_run(self, tmp_path, capsys,
+                                                            monkeypatch, stale):
+        """A run CSV in the way, or one left by a 3-replication run under a
+        1-replication rerun, which ``summarize`` would mix in."""
+        scenario = self.write_scenario(tmp_path, horizon=3, replications=3)
+        runs = tmp_path / "runs"
+        if stale:
+            assert main(["simulate", "--scenario", str(scenario),
+                         "--out", str(runs)]) == 0
+            blocked, problem = runs / "run_001.csv", ("a run file of no replication "
+                                                      "in range(1); remove it or "
+                                                      "write elsewhere")
+        else:
+            blocked, problem = runs / "run_002.csv", ("not usable as an output file: "
+                                                      "Is a directory")
+            blocked.mkdir(parents=True)
+        before = sorted(runs.iterdir())
+        ran = []
+        monkeypatch.setattr(runner, "run_replication",
+                            lambda config, index: ran.append(index))
+        argv = ["--replications", "1", "--seed", "9"] if stale else []
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(runs),
+                     *argv]) == 1
+        assert capsys.readouterr().err == f"configuration error: {blocked}: {problem}\n"
+        assert ran == []
+        assert sorted(runs.iterdir()) == before
 
     def test_verify_rejects_large_population(self, tmp_path, capsys):
         scenario = self.write_scenario(tmp_path, n=3000)
