@@ -16,7 +16,8 @@ pop_dict["n_agents"] = 20_000
 spec = PopulationSpec.from_dict(pop_dict)
 cols = synthesize(spec, seed=7)
 
-realizer = GraphRealizer(7, cols.household_id, cols.occupation, cols.random_degree,
+realizer = GraphRealizer(7, cols.household_id, cols.occupation,
+                         spec.random_degree_by_age[cols.age_band],
                          spec.networks.occupation_mean_interactions,
                          spec.networks.rewire_beta)
 dead = np.zeros(cols.n_agents, dtype=bool)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation, VerificationDivergence
-from .runner import (QUARTILES, bench, csv_text, load_results, output_dir,
+from .runner import (QUARTILES, bench, csv_text, load_results, output_file,
                      run_scenario, summarize, summary_to_csv, summary_to_long_csv,
                      verify_equivalence, write_file)
 from .scenario import default_scenario, load_scenario
@@ -96,12 +95,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    out = Path(args.out)
-    output_dir(out.parent)
+    # unusable output paths fail before any run file is read
+    out = output_file(args.out)
+    long_path = output_file(out.with_name(out.stem + "_long" + out.suffix))
     results = load_results(args.run_dir)
     summary = summarize(results)
     write_file(out, summary_to_csv(summary))
-    long_path = out.with_name(out.stem + "_long" + out.suffix)
     write_file(long_path, summary_to_long_csv(summary))
     print(f"{len(results)} replications summarized -> {out}, {long_path}")
     return 0
@@ -125,8 +124,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.out:
-        output_dir(Path(args.out).parent)
+    # an unusable output path fails before any scenario runs
+    out = output_file(args.out) if args.out else None
     rows = []
     for path in args.scenarios:
         config = load_scenario(path)
@@ -138,10 +137,10 @@ def _cmd_compare(args) -> int:
     print(f"{'scenario':<32} {'median infections':>18} {'median deaths':>14}")
     for name, infections, deaths in rows:
         print(f"{name:<32} {infections[1]:>18.1f} {deaths[1]:>14.1f}")
-    if args.out:
+    if out:
         header = ["scenario"] + [f"{metric}_q{q}" for metric in ("infections", "deaths")
                                  for q in QUARTILES]
-        write_file(args.out, csv_text([], header, (
+        write_file(out, csv_text([], header, (
             [name, *infections.tolist(), *deaths.tolist()]
             for name, infections, deaths in rows)))
     return 0

@@ -80,7 +80,6 @@ class Engine:
         self.contact_log = ContactLog(interventions.den.lookback,
                                       cols.has_den_app) \
             if interventions.den.enabled else None
-        self._sterilizing = interventions.vaccination.sterilizing
 
     # -- transmission -----------------------------------------------------
 
@@ -271,9 +270,8 @@ class Engine:
               & (step >= c.dose1_at + policy.dose_gap) & ~blocked)
         eligible = np.nonzero(d1 | d2)[0]
         order = priority_sort_key(policy.strategy, policy.elderly_band,
-                                  c.age_band[eligible], d2[eligible],
-                                  eligible)
-        take = eligible[order][:budget]
+                                  c.age_band[eligible], d2[eligible])
+        take = eligible[order[:budget]]
         ev.doses_given = len(take)
 
         second = d2[take]
@@ -296,5 +294,5 @@ class Engine:
                      k=np.where(second, 2, 1))
         ok = ids[(u < prob) & (c.stage[ids] == int(Stage.SUSCEPTIBLE))]
         c.immune[ok] = True
-        if self._sterilizing:
+        if policy.sterilizing:
             c.stage[ok] = int(Stage.VACCINATED)

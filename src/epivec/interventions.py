@@ -1,12 +1,13 @@
 """Intervention configuration: quarantine, testing, exposure notification,
 and two-dose vaccination with three prioritization strategies.
 
-The vaccination priority is a deterministic total order encoded as a sort
-key; ties inside an age band break by agent id.  ``detection_prob`` is the
-probability that a sample from an actively infected agent returns positive
-(the turnaround/detection profiles of the three built-in test kinds model
-real-world sample collection and analysis constraints); uninfected samples
-return positive with ``false_positive_prob`` (0 by default).
+The vaccination priority is a deterministic total order: a key of group, age
+band and dose, sorted stably, so ties keep the engine's ascending agent ids.
+``detection_prob`` is the probability that a sample from an actively infected
+agent returns positive (the turnaround/detection profiles of the three
+built-in test kinds model real-world sample collection and analysis
+constraints); uninfected samples return positive with ``false_positive_prob``
+(0 by default).
 """
 
 from __future__ import annotations
@@ -141,27 +142,28 @@ class VaccinePolicy(Config):
 
 
 def priority_sort_key(strategy: Strategy, elderly_band: int,
-                      age_band: np.ndarray, dose2_eligible: np.ndarray,
-                      agent_id: np.ndarray) -> np.ndarray:
+                      age_band: np.ndarray, dose2_eligible: np.ndarray) -> np.ndarray:
     """Return the permutation ordering eligible agents by vaccination priority.
 
-    Key layout (primary first): group, age band descending, first-dose before
-    second within a group where both appear, agent id.
+    One uint8 key per agent (primary first): group, age band descending,
+    first-dose before second within a group where both appear.  The sort is
+    stable, so equal keys keep their input order: the engine passes agents by
+    ascending id, so ties break by id.
 
     * standard dosing: second-dose-eligible agents first, each cohort by age;
     * delayed second dose: first-dose-eligible agents first, each by age;
     * delayed except elderly: bands >= elderly_band mix both dose types in
       one age-descending sweep; younger agents follow, first doses first.
     """
-    dose_rank = dose2_eligible.astype(np.int8)
+    dose_rank = dose2_eligible.astype(np.uint8)
     if strategy == Strategy.STANDARD_DOSING:
-        group = np.where(dose2_eligible, 0, 1).astype(np.int8)
+        group = 1 - dose_rank
     elif strategy == Strategy.DELAYED_SECOND_DOSE:
-        group = np.where(dose2_eligible, 1, 0).astype(np.int8)
+        group = dose_rank
     else:   # DELAYED_EXCEPT_ELDERLY: VaccinePolicy types every strategy it holds
-        elderly = age_band >= elderly_band
-        group = np.where(elderly, 0, np.where(dose2_eligible, 2, 1)).astype(np.int8)
-    return np.lexsort((agent_id, dose_rank, -age_band.astype(np.int64), group))
+        group = np.where(age_band >= elderly_band, 0, 1 + dose_rank)
+    key = (group * N_AGE_BANDS + (N_AGE_BANDS - 1 - age_band)) * 2 + dose_rank
+    return np.argsort(key.astype(np.uint8), kind="stable")
 
 
 class ContactLog:

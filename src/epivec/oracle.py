@@ -45,7 +45,6 @@ class NaiveAgent:
     age_band: int
     occupation: int
     household_id: int
-    random_degree: float
     stage: int
     infected_at: int
     next_transition_at: int
@@ -83,7 +82,6 @@ class OracleSim:
         self.clock = 0
         self.vaccination_open = False
         self.contact_history: list[list[tuple[int, int]]] = []
-        self._sterilizing = interventions.vaccination.sterilizing
 
     # -- helpers -----------------------------------------------------------
 
@@ -335,7 +333,7 @@ class OracleSim:
         u = uniform(self.seed, step, Purpose.VACCINE_IMMUNITY, a.agent_id, k=dose_k)
         if u < prob and a.stage == int(Stage.SUSCEPTIBLE):
             a.immune = True
-            if self._sterilizing:
+            if policy.sterilizing:
                 a.stage = int(Stage.VACCINATED)
 
     # -- views -------------------------------------------------------------

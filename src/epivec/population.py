@@ -14,6 +14,7 @@ relative to the configured values.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import Config, ConfigError, setting
 from .progression import ProgressionTable
 from .rng import Purpose, substream
-from .stages import N_AGE_BANDS, N_OCCUPATIONS, Stage
+from .stages import N_AGE_BANDS, N_NETWORK_KINDS, N_OCCUPATIONS, Stage
 from .state import AgentColumns
 
 _DIST_TOL = 1e-9
@@ -29,6 +30,10 @@ _DIST_TOL = 1e-9
 # built before step 0 and kept for the run: a size of 10^5 alone would ask
 # for 5*10^9 pairs.  1,000 members is 499,500 pairs (4 MB of int32 pairs).
 MAX_HOUSEHOLD_SIZE = 1000
+# Agent ids are int32, and the transmission gather keys each directed edge as
+# (target * n + source) * N_NETWORK_KINDS + kind in int64: the largest key,
+# N_NETWORK_KINDS * n^2 - 1, fits for n up to 1,753,413,056, below 2^31.
+MAX_AGENTS = math.isqrt(2**63 // N_NETWORK_KINDS)
 # Every step shuffles and pairs about mean degree x agents random-network
 # stubs: a mean of 1,000 is already 10^8 stubs a step at 100K agents, and one
 # of 10^30 stubs per agent does not fit the int64 stub counts.
@@ -74,15 +79,15 @@ class PopulationSpec(Config):
     """Population distributions.  A new key is declared once, with
     ``setting``, in this class or the sub-object it belongs to.
 
-    ``n_agents`` has no upper bound beyond the int32 agent ids: every
-    per-agent cost is linear in it (48 bytes of agent columns, plus each
-    step's edges), so the machine's memory bounds it long before the ids do.
+    ``n_agents`` is at most ``MAX_AGENTS``: every per-agent cost is linear in
+    it (40 bytes of agent columns, plus each step's edges), so the machine's
+    memory bounds it long before that does.
     """
 
     PATH = "population"
     NOTES = ("schema_version", "comment")
 
-    n_agents: int = setting(int, lo=1)
+    n_agents: int = setting(int, lo=1, hi=MAX_AGENTS)
     age_distribution: np.ndarray = setting(float, lo=0, size=N_AGE_BANDS)
     household_size_distribution: HouseholdSizes = setting(HouseholdSizes)
     occupation_distribution: np.ndarray = setting(float, lo=0, size=N_OCCUPATIONS)
@@ -129,8 +134,6 @@ def synthesize(spec: PopulationSpec, seed: int) -> AgentColumns:
     cols.occupation[eligible] = rng.choice(np.arange(1, N_OCCUPATIONS + 1),
                                            size=int(eligible.sum()),
                                            p=spec.occupation_distribution)
-
-    cols.random_degree[:] = spec.random_degree_by_age[cols.age_band]
     return cols
 
 

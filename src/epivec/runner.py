@@ -15,13 +15,13 @@ metric.
 from __future__ import annotations
 
 import csv
-import io
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,13 +50,15 @@ def csv_text(meta_lines, header, rows) -> str:
     """Every output CSV: ``# `` comment lines, the header, one line per row.
     Cells are Python scalars (rows from ``.tolist()``): integers print as
     digits, floats as their shortest round-trip repr, and a cell is quoted
-    only when it holds a comma, a quote or a newline."""
-    buf = io.StringIO()
-    buf.writelines(f"# {m}\n" for m in meta_lines)
-    writer = csv.writer(buf, lineterminator="\n")
+    only when it holds a comma, a quote, a line feed or a carriage return."""
+    # the writer quotes a cell holding any character of its line terminator,
+    # so "\r\n" quotes both; it writes each row whole, whose "\r\n" becomes "\n"
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join([*(f"# {m}\n" for m in meta_lines),
+                    *(line[:-2] + "\n" for line in lines)])
 
 
 @dataclass
@@ -116,7 +118,7 @@ def initialize_run(config: ScenarioConfig, seed: int
         seed,
         cols.household_id,
         cols.occupation,
-        cols.random_degree,
+        config.population.random_degree_by_age[cols.age_band],
         config.population.networks.occupation_mean_interactions,
         config.population.networks.rewire_beta,
     )
@@ -210,8 +212,7 @@ def _check_run_files(out_dir: Path, replications: int) -> None:
         if path.name not in names:
             raise ConfigError(f"{path}: a run file of no replication in "
                               f"range({replications}); remove it or write elsewhere")
-        if path.is_dir():
-            raise ConfigError(f"{path}: not usable as an output file: Is a directory")
+        output_file(path)
 
 
 def output_dir(path: str | Path) -> Path:
@@ -222,6 +223,16 @@ def output_dir(path: str | Path) -> Path:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"{path}: not usable as an output directory: {e.strerror}") from e
+    return path
+
+
+def output_file(path: str | Path) -> Path:
+    """``path`` with its parent made a directory (``output_dir``); a
+    ConfigError naming it if a directory is where the file would go."""
+    path = Path(path)
+    output_dir(path.parent)
+    if path.is_dir():
+        raise ConfigError(f"{path}: not usable as an output file: Is a directory")
     return path
 
 

@@ -10,15 +10,17 @@ Step indices use -1 (NEVER) as the "not scheduled / never happened" sentinel.
 An agent is quarantined at step t iff quarantine_until > t.  A test is
 pending iff test_result_at != NEVER.
 
-No column stores what other columns determine.  An agent has had dose k iff
-dose<k>_at != NEVER.  Dose k's immunity check falls due dose<k>_latency steps
-after it; a second dose replaces a pending first-dose check, so a due check
-is dose 2's iff dose2_at != NEVER.  It succeeds with the first-dose efficacy,
-or for dose 2 with the second-dose efficacy if dose 1's check was pending
-(dose1_at + dose1_latency > dose2_at), else with the top-up that lifts the
-marginal to it; on an agent already immune it changes nothing.  An agent
-quarantined at step t may drop out iff its quarantine began before t, that
-is iff quarantine_until < t + the quarantine duration.  Under sterilizing
+No column stores what other columns and the scenario determine.  An agent's
+mean daily random interactions are ``population.random_degree_by_age`` at its
+age band, which the run hands the graph realizer at set-up.  An agent has had
+dose k iff dose<k>_at != NEVER.  Dose k's immunity check falls due
+dose<k>_latency steps after it; a second dose replaces a pending first-dose
+check, so a due check is dose 2's iff dose2_at != NEVER.  It succeeds with the
+first-dose efficacy, or for dose 2 with the second-dose efficacy if dose 1's
+check was pending (dose1_at + dose1_latency > dose2_at), else with the top-up
+that lifts the marginal to it; on an agent already immune it changes nothing.
+An agent quarantined at step t may drop out iff its quarantine began before t,
+that is iff quarantine_until < t + the quarantine duration.  Under sterilizing
 immunity an immune agent is vaccinated, a stage it never leaves, so the
 transmission target is exactly the susceptible stage.
 """
@@ -44,7 +46,6 @@ class AgentColumns:
     age_band: np.ndarray = _column(np.int8)             # 0..8
     occupation: np.ndarray = _column(np.int16)          # 0 = not employed, 1..23
     household_id: np.ndarray = _column(np.int32)
-    random_degree: np.ndarray = _column(np.float64)     # mean daily random interactions
     # dynamic
     stage: np.ndarray = _column(np.int8, Stage.SUSCEPTIBLE)
     infected_at: np.ndarray = _column(np.int32, NEVER)  # step

@@ -180,7 +180,7 @@ def test_criterion_4_dosing_priority_orders():
                                           "David", "Eleanor", "Frank"],
     }
     for strategy, want in expected.items():
-        perm = priority_sort_key(strategy, 6, ages, dose2, np.arange(6))
+        perm = priority_sort_key(strategy, 6, ages, dose2)
         assert [names[i] for i in perm] == want
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

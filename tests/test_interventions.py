@@ -131,11 +131,10 @@ class TestPriorityOrdering:
 
     AGES = np.array([7, 7, 6, 6, 3, 3])       # bands of 78, 78, 68, 68, 40, 40
     DOSE2 = np.array([False, True, False, True, False, True])
-    IDS = np.arange(6)
     NAMES = ["Adam", "Betty", "Charlie", "David", "Eleanor", "Frank"]
 
     def order(self, strategy):
-        perm = priority_sort_key(strategy, 6, self.AGES, self.DOSE2, self.IDS)
+        perm = priority_sort_key(strategy, 6, self.AGES, self.DOSE2)
         return [self.NAMES[i] for i in perm]
 
     def test_standard_dosing(self):
@@ -149,6 +148,33 @@ class TestPriorityOrdering:
     def test_delayed_except_elderly(self):
         assert self.order(Strategy.DELAYED_EXCEPT_ELDERLY) \
             == ["Adam", "Betty", "Charlie", "David", "Eleanor", "Frank"]
+
+    @given(strategy=st.sampled_from(Strategy), elderly_band=st.integers(0, 8),
+           agents=st.lists(st.tuples(st.integers(0, 8), st.booleans()), max_size=300),
+           gaps=st.lists(st.integers(1, 3), min_size=300, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_key_orders_by_group_age_dose_then_id(self, strategy, elderly_band,
+                                                  agents, gaps):
+        """Up to 300 eligible agents in ascending id order, many of them tied
+        on (group, age band, dose): the permutation is the sort by (group,
+        -age band, dose rank, id), the oracle's rule written out."""
+        ids = np.cumsum(gaps[:len(agents)], dtype=np.int64)
+        ages = np.array([age for age, _ in agents], dtype=np.int8)
+        dose2 = np.array([second for _, second in agents], dtype=bool)
+
+        def priority(i):
+            age, second = int(ages[i]), bool(dose2[i])
+            if strategy == Strategy.STANDARD_DOSING:
+                group = 0 if second else 1
+            elif strategy == Strategy.DELAYED_SECOND_DOSE:
+                group = 1 if second else 0
+            else:
+                group = 0 if age >= elderly_band else 1 + second
+            return group, -age, second, int(ids[i])
+
+        perm = priority_sort_key(strategy, elderly_band, ages, dose2)
+        assert ids[perm].tolist() == [int(ids[i]) for i in
+                                      sorted(range(len(agents)), key=priority)]
 
 
 class TestTestKinds:

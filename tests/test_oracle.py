@@ -104,10 +104,10 @@ class TestReplayEquivalence:
         assert verify_equivalence(config) == config.horizon
 
 
-def youngest_first_key(strategy, elderly_band, age_band, dose2_eligible, agent_id):
+def youngest_first_key(strategy, elderly_band, age_band, dose2_eligible):
     """Standard dosing's priority order with the age order reversed."""
     group = np.where(dose2_eligible, 0, 1)
-    return np.lexsort((agent_id, dose2_eligible, age_band, group))
+    return np.lexsort((dose2_eligible, age_band, group))
 
 
 class TestVerifySeesTheEngine:

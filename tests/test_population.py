@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from epivec.errors import ConfigError
-from epivec.population import (MAX_HOUSEHOLD_SIZE, MAX_RANDOM_DEGREE,
+from epivec.population import (MAX_AGENTS, MAX_HOUSEHOLD_SIZE, MAX_RANDOM_DEGREE,
                                PopulationSpec, seed_infections, synthesize)
 from epivec.rng import Purpose, substream
-from epivec.scenario import default_population_dict, default_progression_dict
+from epivec.runner import initialize_run
+from epivec.scenario import (default_population_dict, default_progression_dict,
+                             default_scenario)
 from epivec.progression import ProgressionTable
-from epivec.stages import N_AGE_BANDS, N_OCCUPATIONS, NEVER, Stage
+from epivec.stages import N_AGE_BANDS, N_NETWORK_KINDS, N_OCCUPATIONS, NEVER, Stage
 from epivec.state import AgentColumns
 
 
@@ -57,8 +59,6 @@ def loop_synthesize(spec, seed):
             np.arange(1, N_OCCUPATIONS + 1), size=n_eligible,
             p=spec.occupation_distribution).astype(np.int16)
     cols.occupation[:] = occ
-
-    cols.random_degree[:] = spec.random_degree_by_age[cols.age_band]
     return cols
 
 
@@ -94,6 +94,19 @@ class TestValidation:
             spec_with(10, random_degree_by_age=[1e30] * 9)
         spec = spec_with(10, random_degree_by_age=[MAX_RANDOM_DEGREE] * 9)
         assert spec.random_degree_by_age.tolist() == [1000.0] * 9
+
+    def test_n_agents_bounded(self):
+        """The largest n whose gather keys, 3n^2 - 1 at most, fit int64, below
+        the int32 ids' 2^31; checked at the spec, no population drawn."""
+        assert MAX_AGENTS == 1_753_413_056
+        assert N_NETWORK_KINDS * MAX_AGENTS**2 - 1 < 2**63 \
+            <= N_NETWORK_KINDS * (MAX_AGENTS + 1)**2 - 1
+        assert MAX_AGENTS < 2**31
+        with pytest.raises(ConfigError, match=r"^population\.n_agents: expected a value "
+                                              rf"in \[1, {MAX_AGENTS}\], "
+                                              rf"got {MAX_AGENTS + 1}$"):
+            spec_with(MAX_AGENTS + 1)
+        assert spec_with(MAX_AGENTS).n_agents == MAX_AGENTS
 
     def test_missing_field_is_config_error(self):
         d = default_population_dict()
@@ -150,10 +163,13 @@ class TestSynthesize:
                 assert getattr(cols, f.name).tobytes() == getattr(ref, f.name).tobytes()
 
     def test_random_degree_from_age_band(self):
-        spec = spec_with(1000)
-        cols = synthesize(spec, seed=5)
-        expected = spec.random_degree_by_age[cols.age_band]
-        assert np.array_equal(cols.random_degree, expected)
+        """No column holds the degree: the run's realizer gets each agent's
+        from its age band."""
+        config = default_scenario(n_agents=1000)
+        cols, realizer = initialize_run(config, seed=5)
+        expected = config.population.random_degree_by_age[cols.age_band]
+        assert realizer.random_degree.dtype == np.float64
+        assert np.array_equal(realizer.random_degree, expected)
 
     def test_deterministic_per_seed(self):
         spec = spec_with(2000)

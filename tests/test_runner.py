@@ -153,11 +153,12 @@ def reference_summary_to_long_csv(summary: dict[str, np.ndarray]) -> str:
 
 def reference_compare_csv(rows) -> str:
     """The file half of ``epivec compare``: rows of (name, infections, deaths);
-    a name holding a comma, a quote or a newline is quoted, its quotes doubled."""
+    a name holding a comma, a quote, a line feed or a carriage return is
+    quoted, its quotes doubled."""
     lines = ["scenario,infections_q25,infections_q50,infections_q75,"
              "deaths_q25,deaths_q50,deaths_q75"]
     for name, infections, deaths in rows:
-        if any(c in name for c in ',"\n'):
+        if any(c in name for c in ',"\n\r'):
             name = '"' + name.replace('"', '""') + '"'
         lines.append(",".join([name]
                               + [repr(float(v)) for v in infections]
@@ -560,12 +561,12 @@ class TestCsvRoundTrip:
         assert summary_to_long_csv(summary) == reference_summary_to_long_csv(summary)
 
     @given(rows=st.lists(st.tuples(
-        st.text(alphabet='az09_ ,"\n', max_size=12),
+        st.text(alphabet='az09_ ,"\n\r', max_size=12),
         arrays(np.float64, 3, elements=quartile_floats),
         arrays(np.float64, 3, elements=quartile_floats)), min_size=1, max_size=4))
     @example(rows=[("s", np.array([-0.0, 1e16, 5e-324]), np.array([0.1 + 0.2] * 3))])
     @example(rows=[(name, np.zeros(3), np.ones(3))
-                   for name in ("a,b", 'say "hi"', "two\nlines", "")])
+                   for name in ("a,b", 'say "hi"', "two\nlines", "a\rb", "c\r\nd", "")])
     @settings(max_examples=50, deadline=None)
     def test_compare_file_matches_reference(self, tmp_path_factory, rows):
         """``epivec compare`` with scenario loading and running stubbed out;
@@ -580,7 +581,7 @@ class TestCsvRoundTrip:
                 "cumulative_infections": by_path[path][1][None],
                 "cumulative_deaths": by_path[path][2][None]})
             assert main(["compare", "--scenarios", *by_path, "--out", str(out)]) == 0
-        text = out.read_text()
+        text = out.read_bytes().decode()   # read_text would turn "\r" into "\n"
         assert text == reference_compare_csv(rows)
         header, *read = csv.reader(io.StringIO(text))
         assert [len(row) for row in read] == [len(header)] * len(rows)
@@ -920,24 +921,37 @@ class TestCli:
         assert ran == []
         assert afile.read_text() == ""
 
-    @pytest.mark.parametrize("command", ["simulate", "summarize", "compare"])
-    def test_out_file_where_a_directory_is_exits_1(self, tmp_path, capsys, command):
-        """The file each command writes is a directory: simulate's first run
-        CSV, or summarize's and compare's ``--out``."""
+    @pytest.mark.parametrize("command, name", [
+        pytest.param("simulate", "run_000.csv", id="simulate"),
+        pytest.param("summarize", "x.csv", id="summarize"),
+        pytest.param("summarize", "x_long.csv", id="summarize-long"),
+        pytest.param("compare", "x.csv", id="compare")])
+    def test_out_file_where_a_directory_is_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                   command, name):
+        """The file a command writes is a directory: simulate's first run CSV,
+        summarize's ``--out`` or the ``*_long`` file next to it, or compare's
+        ``--out``.  No replication runs, no run file is read, nothing is
+        written."""
         scenario = self.write_scenario(tmp_path, horizon=3)
         runs = tmp_path / "runs"
         runs.mkdir()
         (runs / "run_000.csv").write_text(GOOD_RUN)
-        adir = tmp_path / "adir"
-        adir.mkdir()
-        out = {"simulate": ["--scenario", str(scenario), "--out", str(tmp_path)],
-               "summarize": ["--in", str(runs), "--out", str(adir)],
-               "compare": ["--scenarios", str(scenario), "--out", str(adir)]}[command]
-        blocked = tmp_path / "run_000.csv" if command == "simulate" else adir
-        blocked.mkdir(exist_ok=True)
-        assert main([command, *out]) == 1
+        blocked = tmp_path / name
+        blocked.mkdir()
+        before = sorted(tmp_path.iterdir())
+        ran, loaded = [], []
+        monkeypatch.setattr(runner, "run_replication",
+                            lambda config, index: ran.append(index))
+        monkeypatch.setattr(cli, "load_results", loaded.append)
+        out = str(tmp_path / "x.csv")
+        argv = {"simulate": ["--scenario", str(scenario), "--out", str(tmp_path)],
+                "summarize": ["--in", str(runs), "--out", out],
+                "compare": ["--scenarios", str(scenario), "--out", out]}[command]
+        assert main([command, *argv]) == 1
         assert capsys.readouterr().err == (f"configuration error: {blocked}: not "
                                            "usable as an output file: Is a directory\n")
+        assert ran == [] and loaded == []
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("stale", [False, True], ids=["a directory", "stale index"])
     def test_run_file_it_cannot_keep_exits_1_before_any_run(self, tmp_path, capsys,

@@ -19,7 +19,6 @@ def explicit_allocate(n):
         age_band=np.zeros(n, dtype=np.int8),
         occupation=np.zeros(n, dtype=np.int16),
         household_id=np.zeros(n, dtype=np.int32),
-        random_degree=np.zeros(n, dtype=np.float64),
         stage=np.full(n, int(Stage.SUSCEPTIBLE), dtype=np.int8),
         infected_at=np.full(n, NEVER, dtype=np.int32),
         next_transition_at=np.full(n, NEVER, dtype=np.int32),
@@ -52,8 +51,10 @@ def test_allocate_matches_explicit_reference(n):
 
 def test_agent_columns_cover_every_array_field():
     assert AGENT_COLUMNS == tuple(f.name for f in dataclasses.fields(AgentColumns))
-    assert AGENT_COLUMNS[:4] == ("age_band", "occupation", "household_id",
-                                 "random_degree")
+    assert AGENT_COLUMNS[:4] == ("age_band", "occupation", "household_id", "stage")
+    assert len(AGENT_COLUMNS) == 15
+    assert sum(np.dtype(f.metadata["dtype"]).itemsize
+               for f in dataclasses.fields(AgentColumns)) == 40
 
 
 def test_naive_agent_fields_follow_the_schema():
@@ -69,7 +70,7 @@ def test_naive_agent_fields_follow_the_schema():
 
 def test_records_carry_python_scalars_of_every_column():
     cols = AgentColumns.allocate(3)
-    cols.random_degree[:] = [0.5, 1.25, 3.0]
+    cols.household_id[:] = [4, 0, 9]
     cols.immune[1] = True
     cols.infected_at[2] = 7
     agents = agents_from_columns(cols)
