@@ -69,9 +69,8 @@ class Networks(Config):
 
     PATH = "population.networks"
 
-    occupation_mean_interactions: np.ndarray = setting(
-        float, (8.0,) * N_OCCUPATIONS, lo=0, size=N_OCCUPATIONS)
-    rewire_beta: float = setting(float, 0.1, lo=0, hi=1)
+    occupation_mean_interactions: np.ndarray = setting(float, lo=0, size=N_OCCUPATIONS)
+    rewire_beta: float = setting(float, lo=0, hi=1)
 
 
 @dataclass
@@ -96,7 +95,7 @@ class PopulationSpec(Config):
                                                         size=...)
     random_degree_by_age: np.ndarray = setting(float, lo=0, hi=MAX_RANDOM_DEGREE,
                                                size=N_AGE_BANDS)  # means
-    networks: Networks = setting(Networks, Networks)
+    networks: Networks = setting(Networks)
 
     def __post_init__(self):
         super().__post_init__()

@@ -19,10 +19,11 @@ check, so a due check is dose 2's iff dose2_at != NEVER.  It succeeds with the
 first-dose efficacy, or for dose 2 with the second-dose efficacy if dose 1's
 check was pending (dose1_at + dose1_latency > dose2_at), else with the top-up
 that lifts the marginal to it; on an agent already immune it changes nothing.
-An agent quarantined at step t may drop out iff its quarantine began before t,
-that is iff quarantine_until < t + the quarantine duration.  Under sterilizing
-immunity an immune agent is vaccinated, a stage it never leaves, so the
-transmission target is exactly the susceptible stage.
+A dose-1 check that falls due on the step of dose 2 resolves first, so that
+dose 2 rolls the top-up.  An agent quarantined at step t may drop out iff its
+quarantine began before t, that is iff quarantine_until < t + the quarantine
+duration.  Under sterilizing immunity an immune agent is vaccinated, a stage
+it never leaves, so the transmission target is exactly the susceptible stage.
 """
 
 from __future__ import annotations

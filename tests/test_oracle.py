@@ -1,21 +1,23 @@
 """Reference-oracle checks: replay equivalence with the engine, an engine
-mutant that ``verify`` must catch (the vaccination order), the aggregate
-infection draw's marginal, and the throughput gap."""
+mutant that ``verify`` must catch (the vaccination order), the pinned
+``epivec verify`` scenarios, the aggregate infection draw's marginal, and the
+throughput gap."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epivec import engine, oracle, runner
+from epivec import cli, engine, oracle, runner
 from epivec.engine import Engine
 from epivec.interventions import STRATEGY_BY_NAME, TEST_KINDS, InterventionConfig
 from epivec.oracle import OracleSim, agents_from_columns
 from epivec.runner import bench, replication_seed, run_replication, verify_equivalence
 from epivec.scenario import (default_disease_dict, default_population_dict,
-                             scenario_from_dict)
-from epivec.stages import Stage
+                             default_progression_dict, scenario_from_dict)
+from epivec.stages import NEVER, Stage
 from epivec.errors import InvariantViolation, VerificationDivergence
 
 from test_interventions import (blank_state, empty_graph, flat_disease, simple_table,
@@ -126,6 +128,41 @@ class TestVerifySeesTheEngine:
         assert exc_info.value.step == 0
         assert exc_info.value.field == "dose1_at"
 
+    def test_death_on_the_step_a_follow_up_test_falls_due(self, monkeypatch):
+        """Agents that die on the step their notification's test falls due,
+        with no test pending, so only the dead filter of test sampling keeps
+        them untested: an engine without it diverges at step 5."""
+        progression = default_progression_dict()
+        for edge in progression["edges"]:
+            # every infection severe, one-day stages, 90% of each severe
+            # stage on towards death; results of rapid-poc come back in a day
+            if "duration" in edge:
+                edge["duration"] = {"family": "constant", "days": 1}
+            if edge["from"] == "susceptible":
+                edge["probability"] = [float(edge["to"] == "presymptomatic_severe")] * 9
+            elif edge["from"] in ("severe_symptomatic", "hospitalized", "critical_icu"):
+                edge["probability"] = [0.1 if edge["to"] == "recovered" else 0.9] * 9
+        pop = default_population_dict()
+        pop["n_agents"] = 300
+        config = scenario_from_dict({
+            "population": pop, "progression": progression, "horizon": 8,
+            "replications": 1, "base_seed": 3, "initial_infections": 30,
+            "interventions": {"testing": {"enabled": True, "kind": "rapid-poc"},
+                              "den": {"enabled": True, "app_adoption": 1.0,
+                                      "compliance_prob": 1.0}}})
+        corner = []
+        real = Engine._phase_test_sampling
+
+        def counting(self, newly_symptomatic, ev):
+            c = self.cols
+            corner.append(int(((c.den_test_due_at == self.clock)
+                               & (c.test_result_at == NEVER)
+                               & (c.stage == int(Stage.DEAD))).sum()))
+            real(self, newly_symptomatic, ev)
+        monkeypatch.setattr(Engine, "_phase_test_sampling", counting)
+        assert verify_equivalence(config) == config.horizon
+        assert sum(corner) > 0
+
     @pytest.mark.parametrize("phase, event", [
         ("_phase_transmission", "new_infections"),
         ("_phase_test_sampling", "tests_administered"),
@@ -150,6 +187,81 @@ class TestVerifySeesTheEngine:
         assert e.engine_value == e.oracle_value + 1
         assert str(e) == (f"divergence at step 0, event count {event!r}: "
                           f"engine={e.engine_value} oracle={e.oracle_value}")
+
+
+def pinned_scenarios():
+    """The intervention blocks of the pinned ``verify`` scenarios, by name."""
+    base = {"quarantine": {"enabled": True}, "testing": {"enabled": True},
+            "den": {"enabled": True}}
+    vaccinations = {
+        # every intervention at its defaults
+        "verify": {"enabled": True, "start_trigger": 0.0},
+        # non-sterilizing: immune agents are infected
+        "verify_leaky": {"enabled": True, "start_trigger": 0.0,
+                         "immunity_mode": "non-sterilizing",
+                         "dose1_latency": 0, "daily_rate": 0.1},
+        # second doses within the horizon: the dose order meets both types
+        "verify_second_doses": {"enabled": True, "start_trigger": 0.0,
+                                "strategy": "delayed-except-elderly",
+                                "dose_gap": 3, "dose1_latency": 0,
+                                "daily_rate": 0.05},
+        # delayed second doses: 24 doses a day go to first doses while
+        # second doses queue, step 12 gives both, later days bind on
+        # second doses alone
+        "verify_delayed": {"enabled": True, "start_trigger": 0.0,
+                           "strategy": "delayed", "dose_gap": 3,
+                           "dose1_latency": 0, "daily_rate": 0.08},
+        # non-sterilizing second doses: agents already immune and still
+        # susceptible take dose 2, whose check changes nothing
+        "verify_leaky_second_doses": {"enabled": True, "start_trigger": 0.0,
+                                      "immunity_mode": "non-sterilizing",
+                                      "dose1_latency": 0, "dose_gap": 3,
+                                      "dose2_latency": 2, "daily_rate": 0.1,
+                                      "dose1_efficacy": 0.5},
+        # dose 2 on the step dose 1's check falls due: the check resolves
+        # first, so dose 2 rolls the top-up, not the full second-dose efficacy
+        "verify_same_step_doses": {"enabled": True, "start_trigger": 0.0,
+                                   "dose_gap": 3, "dose1_latency": 3,
+                                   "daily_rate": 0.1, "dose1_efficacy": 0.6,
+                                   "dose2_efficacy": 0.9},
+    }
+    blocks = {name: {**base, "vaccination": vaccination}
+              for name, vaccination in vaccinations.items()}
+    # every second dose while the first dose's check is pending, and
+    # short quarantines with dropouts: the rules that read the dose
+    # and quarantine times
+    blocks["verify_pending_checks"] = {
+        **base,
+        "quarantine": {"enabled": True, "duration": 3, "dropout_prob": 0.3},
+        "vaccination": {"enabled": True, "start_trigger": 0.0, "dose_gap": 2,
+                        "dose1_latency": 9, "dose2_latency": 1,
+                        "daily_rate": 0.05, "dose1_efficacy": 0.5}}
+    # 0.001 x 300 agents rounds to no dose a day, and no agent holds the
+    # app: a vaccination phase and result deliveries over empty sets
+    blocks["verify_no_budget"] = {
+        **base,
+        "den": {"enabled": True, "app_adoption": 0.0},
+        "vaccination": {"enabled": True, "start_trigger": 0.0,
+                        "daily_rate": 0.001}}
+    return blocks
+
+
+PINNED_SCENARIOS = pinned_scenarios()
+
+
+class TestPinnedScenarios:
+    """``epivec verify`` through the console entry, on 300 agents of the
+    packaged population over 20 steps with each pinned block."""
+
+    @pytest.mark.parametrize("name", list(PINNED_SCENARIOS))
+    def test_verify_exits_0(self, tmp_path, name):
+        population = default_population_dict()
+        population["n_agents"] = 300
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"population": population, "horizon": 20,
+                                    "replications": 1,
+                                    "interventions": PINNED_SCENARIOS[name]}))
+        assert cli.main(["verify", "--scenario", str(path)]) == 0
 
 
 def differential_scenario(n, horizon, infections, seed, rate, interventions):

@@ -47,6 +47,10 @@ def with_sections(population=None, disease=None, progression=None, **top):
             **top}
 
 
+# the packaged networks object, for cases that change one of its two keys
+NETWORKS = default_population_dict()["networks"]
+
+
 def edges_with(i, **edge):
     """The packaged progression edges, edge ``i`` updated at its top level;
     edge 3 is asymptomatic -> recovered with a gamma duration."""
@@ -278,7 +282,8 @@ class TestScenarioLoading:
          "population.household_size_distribution.sizes[1]", "a whole number"),
         ({"population": {"random_degree_by_age": [2.0] * 8 + [float("inf")]}},
          "population.random_degree_by_age[8]", "a number"),
-        ({"population": {"networks": {"occupation_mean_interactions": "eight"}}},
+        ({"population": {"networks": {**NETWORKS,
+                                      "occupation_mean_interactions": "eight"}}},
          "population.networks.occupation_mean_interactions", "a list"),
         ({"population": {"household_size_distribution": {
             "sizes": [1, 1e308], "probabilities": [0.5, 0.5]}}},
@@ -358,10 +363,10 @@ class TestScenarioLoading:
         ({"population": {"household_size_distribution": {
             "sizes": [0, 2], "probabilities": [0.5, 0.5]}}},
          "population.household_size_distribution.sizes[0]"),
-        ({"population": {"networks": {"occupation_mean_interactions":
+        ({"population": {"networks": {**NETWORKS, "occupation_mean_interactions":
                                       [8.0] * 22 + [-1]}}},
          "population.networks.occupation_mean_interactions[22]"),
-        ({"population": {"networks": {"rewire_beta": 1.5}}},
+        ({"population": {"networks": {**NETWORKS, "rewire_beta": 1.5}}},
          "population.networks.rewire_beta"),
     ])
     def test_out_of_range_value_names_its_path(self, d, path):
@@ -489,6 +494,7 @@ class TestDeterminism:
 
 RUN_WITHOUT_STATS = """
 import sys
+import epivec.cli
 from epivec.runner import run_scenario, verify_equivalence
 from epivec.scenario import default_population_dict, scenario_from_dict
 population = default_population_dict()
@@ -741,6 +747,25 @@ class TestCli:
                      "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
 
+    @pytest.mark.parametrize("sections, path", [
+        pytest.param(with_sections(progression=edges_with(0, **{"from": "susceptibl"})),
+                     "progression.edges[0].from", id="misspelled stage"),
+        pytest.param(with_sections(population={"random_degree_by_age": [1e30] * 9}),
+                     "population.random_degree_by_age[0]", id="random degree 1e30"),
+        pytest.param({"population": {key: value for key, value
+                                     in default_population_dict().items()
+                                     if key != "networks"}},
+                     "population.networks", id="no networks"),
+    ])
+    def test_bad_section_exits_1_naming_the_path(self, tmp_path, capsys, sections,
+                                                 path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"horizon": 5, **sections}))
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+        assert not (tmp_path / "x").exists()
+
     # 3e9 steps: each wrapped or overflowed an int32 step column at run time
     @pytest.mark.parametrize("overrides, path", [
         ({"interventions": {"quarantine": {"enabled": True, "duration": 3e9},
@@ -920,6 +945,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"configuration error: {afile}: ")
         assert ran == []
         assert afile.read_text() == ""
+
+    def test_write_file_under_a_file_is_config_error(self, tmp_path):
+        """``runner.write_file``'s own error mapping, which the commands'
+        checks of their output paths before any run leave unreached."""
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "x.csv"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(target))}: not usable "
+                                              "as an output file: Not a directory$"):
+            runner.write_file(target, "t")
 
     @pytest.mark.parametrize("command, name", [
         pytest.param("simulate", "run_000.csv", id="simulate"),
